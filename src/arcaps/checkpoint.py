@@ -1,7 +1,7 @@
 """Binary checkpoint container.
 
 Layout:
-  8 bytes   magic "ARCAPS01"
+  8 bytes   magic "ARCAPS02"
   8 bytes   metadata length, unsigned little-endian
   N bytes   metadata, UTF-8 text (config lines plus optimizer step count)
   records until end of file, each:
@@ -11,18 +11,29 @@ Layout:
     rank * 8 bytes    extents (LE unsigned)
     prod(extents)*4   float32 values, little-endian
 
-Round-trips are byte exact: values are written raw from float32 storage.
+Round-trips are byte exact: values are written raw from float32 storage,
+and arrays of any other dtype are rejected rather than converted. Each
+capsule layer stores its transform as one ``<layer>.transform`` record of
+shape (M, kw*kh*D_in, N*D_out). ``ARCAPS01`` files, which held one
+``<layer>.transform.<n>`` record per output channel, are rejected.
+
+``save`` writes ``<path>.tmp`` next to the target and renames it over the
+target only once it is complete and synced, so a crash mid-write leaves
+the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import ConfigurationError, InputDataError
 
-MAGIC = b"ARCAPS01"
+MAGIC = b"ARCAPS02"
+_OLD_MAGIC = b"ARCAPS01"
 
 
 def _write_record(fh, name, array):
@@ -45,15 +56,41 @@ def _read_exact(fh, count, path, what):
     return buf
 
 
+def _read_array(fh, shape, path, name):
+    """Read float32 values straight into a new array (no second copy)."""
+    array = np.empty(shape, dtype="<f4")
+    buf = memoryview(array).cast("B")
+    got = fh.readinto(buf)
+    if got != len(buf):
+        raise InputDataError(
+            f"{path}: truncated checkpoint while reading data of {name!r} "
+            f"(wanted {len(buf)} bytes at offset {fh.tell() - got})")
+    return array
+
+
 def save(path, metadata_text, arrays):
-    """Write metadata plus named float32 arrays (insertion order kept)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        meta = metadata_text.encode("utf-8")
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
-        for name, arr in arrays.items():
-            _write_record(fh, name, arr)
+    """Atomically write metadata plus named float32 arrays (insertion order kept)."""
+    for name, arr in arrays.items():
+        if arr.dtype != np.float32:
+            raise ConfigurationError(
+                f"checkpoint array {name!r} is {arr.dtype}; the format stores "
+                f"float32 only")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            meta = metadata_text.encode("utf-8")
+            fh.write(struct.pack("<Q", len(meta)))
+            fh.write(meta)
+            for name, arr in arrays.items():
+                _write_record(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load(path):
@@ -61,6 +98,11 @@ def load(path):
     arrays = {}
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
+        if magic == _OLD_MAGIC:
+            raise InputDataError(
+                f"{path}: {_OLD_MAGIC!r} checkpoint stores one transform record "
+                f"per output channel; this version reads only {MAGIC!r}, "
+                f"which stores one fused transform per layer")
         if magic != MAGIC:
             raise InputDataError(
                 f"{path}: bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
@@ -80,7 +122,5 @@ def load(path):
                 struct.unpack("<Q", _read_exact(fh, 8, path, f"extent of {name!r}"))[0]
                 for _ in range(rank)
             )
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, count * 4, path, f"data of {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            arrays[name] = _read_array(fh, shape, path, name)
     return meta, arrays

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, config as cfgmod, netpbm, selftest
-from .data import load_cifar10, load_idx
+from .data import load_cifar10, load_idx, pad_dataset
 from .errors import ComputationError, ConfigurationError, InputDataError
 from .model import count_parameters
 from .train import evaluate, load_model, train
@@ -91,14 +91,6 @@ def _dataset(cfg: cfgmod.RunConfig, split):
     return load_cifar10(root / "test_batch.bin", "test")
 
 
-def _pad_dataset(ds, cfg):
-    if not cfg.pad_to:
-        return ds
-    from .data import pad_dataset
-
-    return pad_dataset(ds, cfg.pad_to, cfg.pad_to)
-
-
 def _echo_config(cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +111,9 @@ def _cmd_eval(args):
     cfg = _load_run_config(args)
     model, ckpt_cfg, _ = load_model(args.checkpoint)
     data_cfg = cfg if args.config else ckpt_cfg
-    dataset = _pad_dataset(_dataset(data_cfg, "test"), ckpt_cfg)
+    dataset = _dataset(data_cfg, "test")
+    if ckpt_cfg.pad_to:
+        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
     result = evaluate(model, dataset, data_cfg.batch_size)
     print(f"accuracy {result.accuracy:.4f}")
     print(f"loss total {result.total_loss:.6f} margin {result.margin_loss:.6f} "
@@ -136,7 +130,9 @@ def _cmd_analyze_align(args):
     data_cfg = cfg if args.config else ckpt_cfg
     out = Path(cfg.out_dir if args.out_dir or args.config else ckpt_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _pad_dataset(_dataset(data_cfg, "test"), ckpt_cfg)
+    dataset = _dataset(data_cfg, "test")
+    if ckpt_cfg.pad_to:
+        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
     samples = args.samples if args.samples is not None else data_cfg.samples
 
     report = analysis.alignment_experiment(
@@ -175,7 +171,9 @@ def _cmd_analyze_perturb(args):
     data_cfg = cfg if args.config else ckpt_cfg
     out = Path(cfg.out_dir if args.out_dir or args.config else ckpt_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _pad_dataset(_dataset(data_cfg, "test"), ckpt_cfg)
+    dataset = _dataset(data_cfg, "test")
+    if ckpt_cfg.pad_to:
+        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
 
     dims = data_cfg.dimensions or tuple(range(model.config.out_dim))
     mc = model.config

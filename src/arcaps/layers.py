@@ -131,40 +131,18 @@ class PrimaryCaps:
         return self.activation.forward(caps)
 
 
-def attention_route(stacks, reference):
-    """One-pass routing of transformed capsule stacks.
-
-    stacks: list over output channel n of (B, W, H, E, M) tensors;
-    reference: (N, E, M) attention kernel tensor. Per n and spatial
-    position, the logit for input channel m is the scalar product of the
-    transformed capsule with reference[n, :, m]; softmax over m gives the
-    routing weights; the output capsule is the weighted sum. Everything is
-    local to a spatial position.
-
-    Returns the pre-activation capsule tensor (B, W, H, E, N).
-    """
-    n_out = reference.shape[0]
-    if len(stacks) != n_out:
-        raise ConfigurationError(
-            f"attention_route() got {len(stacks)} stacks for {n_out} output channels"
-        )
-    routed = []
-    for n in range(n_out):
-        ref_n = T.slice_axis0(reference, n)
-        logits = T.channelwise_dot3d(stacks[n], ref_n)
-        weights = T.softmax_axis(logits, -1)
-        routed.append(T.route_combine(stacks[n], weights))
-    return T.stack_last(routed)
-
-
 class ConvCaps:
-    """Capsule layer: dropout -> convolutional transform -> attention routing
-    -> optional residual -> capsule activation.
+    """Capsule layer: dropout -> convolutional transform and attention
+    routing -> optional residual -> capsule activation.
 
     The convolutional transform holds one (kw, kh, D_in, D_out) kernel per
     (output channel n, input channel m) pair, shared across space and
-    applied without bias; the per-n kernel banks are stored as rank-5
-    parameters (M, kw, kh, D_in, D_out).
+    applied without bias. All of them live in one (M, kw*kh*D_in,
+    N*D_out) parameter ``transform``: columns n*D_out .. n*D_out+D_out-1
+    hold output channel n, and its slice [m, :, those columns] is the
+    (kw, kh, D_in, D_out) kernel flattened in C order. One
+    :func:`~arcaps.tensor.transform_route` call then transforms and routes
+    every output channel at once.
     """
 
     def __init__(self, store, name, in_dim, in_channels, dim, channels, rng,
@@ -187,16 +165,13 @@ class ConvCaps:
                 f"stride={stride}, dims {in_dim}->{dim}, channels "
                 f"{in_channels}->{channels}"
             )
-        self.banks = [
-            store.add(
-                f"{name}.transform.{n}",
-                uniform_init(
-                    rng, (in_channels, kw, kh, in_dim, dim),
-                    kw * kh * in_dim, kw * kh * dim, dtype,
-                ),
-            )
-            for n in range(channels)
-        ]
+        # filled one output channel at a time, in the RNG order of separate
+        # per-channel kernels, without a second full-size copy
+        transform = np.empty((in_channels, patch, channels * dim), dtype=dtype)
+        for n in range(channels):
+            transform[:, :, n * dim:(n + 1) * dim] = uniform_init(
+                rng, (in_channels, patch, dim), patch, kw * kh * dim, dtype)
+        self.transform = store.add(name + ".transform", transform)
         self.attention = store.add(
             name + ".attention",
             uniform_init(rng, (channels, dim, in_channels), dim, 1, dtype),
@@ -204,20 +179,11 @@ class ConvCaps:
         self.activation = CapsuleActivation(
             store, name + ".activation", channels, dim, dim, rng, dtype
         )
-        self._patch = patch
-
-    def transform(self, caps):
-        """Per-channel transformed capsule stacks (pre-routing)."""
-        cols = T.im2col_capsules(caps, self.ksize, self.stride, self.padding)
-        stacks = []
-        for bank in self.banks:
-            flat = T.reshape(bank, (self.in_channels, self._patch, self.dim))
-            stacks.append(T.channel_affine(cols, flat))
-        return stacks
 
     def forward(self, caps, train, rng=None):
         dropped = T.dropout(caps, self.keep_prob, train, rng)
-        pre = attention_route(self.transform(dropped), self.attention)
+        cols = T.im2col_capsules(dropped, self.ksize, self.stride, self.padding)
+        pre = T.transform_route(cols, self.transform, self.attention)
         if self.residual:
             pre = T.add(pre, caps)
         return self.activation.forward(pre)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +219,8 @@ class ArCapsNet:
 def normalized_length(capsules):
     """Class scores in [0, 1]: capsule norm over sqrt(D)."""
     d = capsules.shape[1]
-    return T.affine(T.capsule_norm(capsules), 1.0 / np.sqrt(d))
+    # a python float: an np.float64 scale would promote a float32 graph
+    return T.affine(T.capsule_norm(capsules), 1.0 / math.sqrt(d))
 
 
 def margin_loss(scores, labels, classes, m_plus=0.9, m_minus=0.1, lam=0.5):

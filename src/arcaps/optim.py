@@ -31,17 +31,11 @@ class ParameterStore:
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self):
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def is_trainable(self, name):
-        return self._trainable[name]
 
     def trainable_items(self):
         return [(n, t) for n, t in self._params.items() if self._trainable[n]]

@@ -13,7 +13,7 @@ from . import reference, tensor as T
 from .analysis import align_vector, relative_ratios
 from .errors import ComputationError
 from .gradcheck import check_gradients, relative_error
-from .layers import attention_route, squash, squash_exp
+from .layers import squash, squash_exp
 from .model import ArCapsNet, ConvCapsSpec, ModelConfig
 from .optim import ParameterStore, RmspropState, rmsprop_step
 
@@ -38,26 +38,19 @@ def _op_gradient_checks():
                            ))
 
     caps = rng.standard_normal((2, 3, 3, 4, 3))
-    ref = rng.standard_normal((4, 3))
-    checks.append(("channelwise_dot3d", [caps, ref],
-                   lambda ts: T.sum_all(T.mul(T.channelwise_dot3d(ts[0], ts[1]),
-                                              T.leaf(_marker((2, 3, 3, 3)))))))
-
     wgt = rng.standard_normal((3, 4, 5)) * 0.5
     cb = rng.standard_normal((3, 5)) * 0.1
     checks.append(("channel_affine", [caps, wgt, cb],
                    lambda ts: T.sum_all(T.mul(T.channel_affine(ts[0], ts[1], ts[2]),
                                               T.leaf(_marker((2, 3, 3, 5, 3)))))))
 
-    weights_in = rng.standard_normal((2, 3, 3, 3))
-    checks.append(("route_combine", [caps, weights_in],
-                   lambda ts: T.sum_all(T.mul(T.route_combine(ts[0], ts[1]),
-                                              T.leaf(_marker((2, 3, 3, 4)))))))
-
-    logits = rng.standard_normal((2, 4, 3))
-    checks.append(("softmax_axis", [logits],
-                   lambda ts: T.sum_all(T.mul(T.softmax_axis(ts[0], -1),
-                                              T.leaf(_marker((2, 4, 3)))))))
+    # (B, W, H, K, M) = (2, 2, 3, 4, 3) patches routed to N=2 channels of E=3
+    cols = rng.standard_normal((2, 2, 3, 4, 3))
+    tw = rng.standard_normal((3, 4, 6)) * 0.5
+    tref = rng.standard_normal((2, 3, 3))
+    checks.append(("transform_route", [cols, tw, tref],
+                   lambda ts: T.sum_all(T.mul(T.transform_route(ts[0], ts[1], ts[2]),
+                                              T.leaf(_marker((2, 2, 3, 3, 2)))))))
 
     z = rng.standard_normal((3, 4)) * 2.0
     checks.append(("tanh", [z], lambda ts: T.sum_all(
@@ -171,19 +164,50 @@ def _conv_oracle_check():
     return worst
 
 
+def oracle_banks(weight, ksize, out_dim):
+    """Per-output-channel (M, kw, kh, D_in, D_out) kernels sliced from a
+    fused (M, kw*kh*D_in, N*D_out) transform, as the loop oracles take them."""
+    m, patch, ne = weight.shape
+    kw, kh = ksize
+    return [weight[:, :, n:n + out_dim].reshape(m, kw, kh, patch // (kw * kh), out_dim)
+            for n in range(0, ne, out_dim)]
+
+
+def softmax_probe(m, dtype=np.float64):
+    """Weight and reference under which transform_route returns its routing
+    weights: with cols[..., 0, :] = 1 and cols[..., 1, :] = logits, the single
+    output channel predicts [one-hot(m), logit_m] for input channel m, the
+    reference reads only the last component, and out[..., :M, 0] is the
+    softmax over m of the logits."""
+    weight = np.zeros((m, 2, m + 1), dtype=dtype)
+    weight[np.arange(m), 0, np.arange(m)] = 1.0
+    weight[:, 1, m] = 1.0
+    reference = np.zeros((1, m + 1, m), dtype=dtype)
+    reference[0, m] = 1.0
+    return weight, reference
+
+
+def routing_weights(logits):
+    """Softmax over the trailing (input-channel) axis of (B, W, H, M) logits,
+    as transform_route computes it."""
+    logits = np.asarray(logits)
+    weight, reference = softmax_probe(logits.shape[-1], logits.dtype)
+    cols = np.stack([np.ones_like(logits), logits], axis=3)
+    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference))
+    return out.data[..., :-1, 0]
+
+
 def _routing_oracle_check():
     rng = _rng(22)
     b, w, h, d, m, n, e = 1, 2, 2, 4, 3, 2, 4
     u = rng.standard_normal((b, w, h, d, m))
-    banks = [rng.standard_normal((m, 3, 3, d, e)) for _ in range(n)]
+    weight = rng.standard_normal((m, 9 * d, n * e))
     ref = rng.standard_normal((n, e, m))
 
     cols = T.im2col_capsules(T.leaf(u), (3, 3), 1, "same")
-    stacks = [T.channel_affine(cols, T.leaf(bank.reshape(m, 9 * d, e)))
-              for bank in banks]
-    fast = attention_route(stacks, T.leaf(ref)).data
+    fast = T.transform_route(cols, T.leaf(weight), T.leaf(ref)).data
 
-    slow_stacks = reference.conv_transform_loops(u, banks, 1, "same")
+    slow_stacks = reference.conv_transform_loops(u, oracle_banks(weight, (3, 3), e), 1, "same")
     slow = reference.attention_route_loops(slow_stacks, ref)
     worst = float(np.max(np.abs(fast - slow)))
     if worst > 1e-6:
@@ -198,7 +222,7 @@ def _scalar_examples():
     s = squash_exp(np.array([3.0, 4.0]))
     if np.max(np.abs(s - np.array([0.59595654, 0.79460872]))) > 1e-5:
         raise ComputationError(f"squash_exp(3,4) = {s}")
-    soft = T.softmax_axis(T.leaf(np.array([1.0, 2.0, 3.0])), 0).data
+    soft = routing_weights(np.array([[[[1.0, 2.0, 3.0]]]]))[0, 0, 0]
     if np.max(np.abs(soft - np.array([0.09003057, 0.24472847, 0.66524096]))) > 1e-4:
         raise ComputationError(f"softmax(1,2,3) = {soft}")
 

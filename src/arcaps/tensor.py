@@ -235,49 +235,6 @@ def reshape(x, shape):
     return Tensor(x.data.reshape(shape), (x,), rule)
 
 
-def slice_axis0(x, index):
-    """x[index] along the leading axis, as a graph op."""
-
-    def rule(out):
-        g = np.zeros_like(x.data)
-        g[index] = out.grad
-        x.accumulate_grad(g)
-
-    return Tensor(x.data[index], (x,), rule)
-
-
-def stack_last(tensors):
-    """Stack same-shaped tensors along a new trailing axis."""
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ConfigurationError("stack_last() needs equal shapes")
-
-    def rule(out):
-        for i, t in enumerate(tensors):
-            if t.needs_grad:
-                t.accumulate_grad(out.grad[..., i])
-
-    return Tensor(np.stack([t.data for t in tensors], axis=-1), tuple(tensors), rule)
-
-
-def softmax_axis(x, axis):
-    """Numerically stable softmax along one axis."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ConfigurationError(f"softmax axis {axis} out of range for rank {x.data.ndim}")
-    if not np.all(np.isfinite(x.data)):
-        raise ComputationError("softmax_axis() received non-finite logits")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(out):
-        inner = (out.grad * y).sum(axis=axis, keepdims=True)
-        x.accumulate_grad(y * (out.grad - inner))
-
-    return Tensor(y, (x,), rule)
-
-
 # ---------------------------------------------------------------------------
 # dense / matrix operations
 
@@ -430,8 +387,8 @@ def im2col_capsules(x, ksize, stride, padding):
     """Patch extraction for a capsule tensor (B, W, H, D, M).
 
     Output shape (B, Wo, Ho, kw*kh*D, M): each spatial position carries the
-    flattened receptive-field patch of every input channel m, which one
-    matrix product per channel then maps to transformed capsules.
+    flattened receptive-field patch of every input channel m, which
+    transform_route then maps to transformed capsules.
     """
     if padding not in _PADDINGS:
         raise ConfigurationError(f"unknown padding {padding!r}")
@@ -459,8 +416,7 @@ def channel_affine(x, weight, bias=None):
     x: (B, W, H, K, M), weight: (M, K, E), bias: (M, E) or None
     out[..., e, m] = sum_k x[..., k, m] * weight[m, k, e] (+ bias[m, e])
 
-    Used both for the convolutional transform (K = kw*kh*D patches) and for
-    the per-channel 1x1 affine of the capsule activation (K = D).
+    This is the per-channel 1x1 affine of the capsule activation (K = D).
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
@@ -498,55 +454,65 @@ def channel_affine(x, weight, bias=None):
     return Tensor(np.ascontiguousarray(out), parents, rule)
 
 
-def channelwise_dot3d(x, reference):
-    """Per-channel scalar product against a reference vector.
+def transform_route(cols, weight, reference):
+    """Convolutional transform plus one-pass attention routing, as one op.
 
-    x: (B, W, H, D, M), reference: (D, M)
-    out[b, w, h, m] = sum_d x[b, w, h, d, m] * reference[d, m]
+    cols: (B, W, H, K, M) patches from im2col_capsules; weight: (M, K, N*E),
+    whose columns n*E .. n*E+E-1 hold the transform from input channel m
+    to output channel n; reference: (N, E, M) attention kernel.
 
-    This is the 1x1xD depthwise 3D convolution that produces one routing
-    logit per spatial position and input channel.
+    For each position p and output channel n:
+      u[m, p, n]     = cols[p, :, m] @ weight[m, :, n*E:(n+1)*E]  (one GEMM)
+      logit[m, p, n] = <u[m, p, n], reference[n, :, m]>
+      a[:, p, n]     = softmax over m of the logits
+      out[p, :, n]   = sum_m a[m, p, n] * u[m, p, n]
+
+    The predictions u stay in the GEMM's (M, P, N, E) layout with
+    P = B*W*H, so every sum over input channels reduces the leading axis.
+    Returns the pre-activation capsules (B, W, H, E, N).
     """
-    if x.data.ndim != 5 or reference.data.ndim != 2:
+    if cols.data.ndim != 5 or weight.data.ndim != 3 or reference.data.ndim != 3:
         raise ConfigurationError(
-            f"channelwise_dot3d() expects rank-5 input and rank-2 reference, "
-            f"got {x.shape} and {reference.shape}"
+            f"transform_route() expects rank-5 input, rank-3 weight and rank-3 "
+            f"reference, got {cols.shape}, {weight.shape} and {reference.shape}"
         )
-    if reference.shape != x.shape[3:]:
+    b, w, h, k, m = cols.shape
+    n, e = reference.shape[:2]
+    if weight.shape != (m, k, n * e) or reference.shape[2] != m:
         raise ConfigurationError(
-            f"channelwise_dot3d() reference {reference.shape} does not match "
-            f"input capsule block {x.shape[3:]}"
+            f"transform_route() weight {weight.shape} and reference {reference.shape} "
+            f"do not match input {cols.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
-    ref = reference.data
+    p = b * w * h
+    xt = np.ascontiguousarray(np.moveaxis(cols.data, -1, 0)).reshape(m, p, k)
+    u = (xt @ weight.data).reshape(m, p, n, e)
+    ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
+    logits = np.einsum("mpne,mne->mpn", u, ref)
+    if not np.all(np.isfinite(logits)):
+        raise ComputationError("transform_route() produced non-finite routing logits")
+    a = np.exp(logits - logits.max(axis=0))
+    a /= a.sum(axis=0)
+    out = np.einsum("mpn,mpne->pne", a, u)
 
     def rule(node):
-        if x.needs_grad:
-            x.accumulate_grad(node.grad[:, :, :, None, :] * ref)
+        g = np.ascontiguousarray(node.grad.reshape(p, e, n).transpose(0, 2, 1))
+        # softmax backward: d logit = a * (d a - sum_m a * d a)
+        ga = np.einsum("pne,mpne->mpn", g, u)
+        gl = a * (ga - (a * ga).sum(axis=0))
         if reference.needs_grad:
-            reference.accumulate_grad(
-                np.einsum("bwhm,bwhdm->dm", node.grad, x.data)
-            )
+            reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, u))
+        # u feeds both the weighted sum and the logits
+        gu = a[..., None] * g
+        gu += gl[..., None] * ref[:, None]
+        gu = gu.reshape(m, p, n * e)
+        if weight.needs_grad:
+            weight.accumulate_grad(xt.transpose(0, 2, 1) @ gu)
+        if cols.needs_grad:
+            gx = gu @ weight.data.transpose(0, 2, 1)  # (m, p, k)
+            cols.accumulate_grad(np.moveaxis(gx.reshape(m, b, w, h, k), 0, -1))
 
-    return Tensor((x.data * ref).sum(axis=3), (x, reference), rule)
-
-
-def route_combine(stack, weights):
-    """Convex combination of transformed capsules across input channels.
-
-    stack: (B, W, H, D, M), weights: (B, W, H, M) -> (B, W, H, D)
-    """
-    if stack.shape[:3] != weights.shape[:3] or stack.shape[4] != weights.shape[3]:
-        raise ConfigurationError(
-            f"route_combine() shapes incompatible: {stack.shape} vs {weights.shape}"
-        )
-
-    def rule(node):
-        if stack.needs_grad:
-            stack.accumulate_grad(node.grad[..., None] * weights.data[:, :, :, None, :])
-        if weights.needs_grad:
-            weights.accumulate_grad((node.grad[..., None] * stack.data).sum(axis=3))
-
-    return Tensor((stack.data * weights.data[:, :, :, None, :]).sum(axis=4), (stack, weights), rule)
+    pre = out.reshape(b, w, h, n, e).transpose(0, 1, 2, 4, 3)
+    return Tensor(np.ascontiguousarray(pre), (cols, weight, reference), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import digitgen  # noqa: E402
 
+from arcaps import tensor as T  # noqa: E402
 from arcaps.config import RunConfig  # noqa: E402
 from arcaps.data import load_idx  # noqa: E402
 from arcaps.model import ArCapsNet, ConvCapsSpec, ModelConfig  # noqa: E402
+from arcaps.selftest import oracle_banks  # noqa: E402
 from arcaps.train import load_model, train  # noqa: E402
 
 # reduced configuration for desk-scale training: stem width 32, four primary
@@ -29,6 +31,30 @@ DESK_KW = dict(stem_width=32, primary_dim=8, primary_channels=4,
 
 TRAIN_COUNT = 10000
 TEST_COUNT = 2000
+
+
+def layer_banks(layer):
+    """A ConvCaps layer's per-output-channel kernels in the loop oracles' layout."""
+    return oracle_banks(layer.transform.data, layer.ksize, layer.dim)
+
+
+def pre_activation(layer, u):
+    """A ConvCaps layer's routed capsules before the activation (no dropout)."""
+    cols = T.im2col_capsules(T.leaf(u), layer.ksize, layer.stride, layer.padding)
+    return T.transform_route(cols, layer.transform, layer.attention).data
+
+
+def transform_stacks(layer, u):
+    """A ConvCaps layer's transformed capsules before routing: a list over
+    output channel n of (B, W, H, E, M) arrays. Read through transform_route
+    one input channel at a time; routing over one channel has weight 1."""
+    cols = T.im2col_capsules(T.leaf(u), layer.ksize, layer.stride, layer.padding).data
+    per_m = [T.transform_route(T.leaf(cols[..., m:m + 1]),
+                               T.leaf(layer.transform.data[m:m + 1]),
+                               T.leaf(layer.attention.data[..., m:m + 1])).data
+             for m in range(layer.in_channels)]
+    stacked = np.stack(per_m, axis=-1)  # (B, W, H, E, N, M)
+    return [stacked[..., n, :] for n in range(layer.channels)]
 
 
 def real_mnist_dir():

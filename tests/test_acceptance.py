@@ -17,12 +17,14 @@ from arcaps.analysis import (alignment_experiment, perturb_and_decode,
                              perturbation_offsets, random_baseline)
 from arcaps.config import RunConfig
 from arcaps.data import load_idx
-from arcaps.layers import attention_route, squash
+from arcaps.layers import squash
 from arcaps.model import ArCapsNet, ModelConfig, count_parameters, standard_stack
 from arcaps.optim import ParameterStore
+from arcaps.selftest import routing_weights
 from arcaps.train import evaluate, load_model, train
 
-from conftest import DESK_KW, real_mnist_dir
+from conftest import (DESK_KW, layer_banks, pre_activation, real_mnist_dir,
+                      transform_stacks)
 import digitgen
 
 
@@ -82,14 +84,13 @@ def test_criterion_4_routing_oracles(rng):
         layer = ConvCaps(store, "c", 3, 3, 4, 2, rng, stride=1,
                          dtype=np.float64)
         u = rng.standard_normal((1, 3, 3, 3, 3))
-        stacks = layer.transform(T.leaf(u))
-        slow_stacks = reference.conv_transform_loops(
-            u, [b.data for b in layer.banks], 1, "same")
+        stacks = transform_stacks(layer, u)
+        slow_stacks = reference.conv_transform_loops(u, layer_banks(layer), 1, "same")
         for f, s in zip(stacks, slow_stacks):
-            assert np.max(np.abs(f.data - s)) < 1e-6
+            assert np.max(np.abs(f - s)) < 1e-6
         checked["conv_transform"] += 1
 
-        routed = attention_route(stacks, layer.attention).data
+        routed = pre_activation(layer, u)
         slow_routed = reference.attention_route_loops(
             slow_stacks, layer.attention.data)
         assert np.max(np.abs(routed - slow_routed)) < 1e-6
@@ -109,8 +110,7 @@ def test_criterion_4_routing_oracles(rng):
                              dtype=np.float64)
         uf = rng.standard_normal((1, 3, 3, 3, 2))
         fast = full.forward(T.leaf(uf), train=False).data
-        st = reference.conv_transform_loops(
-            uf, [b.data for b in full.banks], 1, "valid")
+        st = reference.conv_transform_loops(uf, layer_banks(full), 1, "valid")
         rt = reference.attention_route_loops(st, full.attention.data)
         slow = reference.capsule_activation_loops(
             rt, full.activation.weight.data, full.activation.bias.data)
@@ -131,10 +131,9 @@ def test_criterion_5_invariant_suite(rng, tiny_config, tiny_run_config, tmp_path
     store = ParameterStore()
     layer = ConvCaps(store, "c", 3, 4, 4, 3, rng, dtype=np.float64)
     u = rng.standard_normal((2, 4, 4, 3, 4)) * 3
-    stacks = layer.transform(T.leaf(u))
-    for n in range(3):
-        logits = T.channelwise_dot3d(stacks[n], T.slice_axis0(layer.attention, n))
-        weights = T.softmax_axis(logits, -1).data
+    for n, stack in enumerate(transform_stacks(layer, u)):
+        logits = np.einsum("bwhem,em->bwhm", stack, layer.attention.data[n])
+        weights = routing_weights(logits)
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(weights > 0)
 
@@ -163,8 +162,7 @@ def test_criterion_5_invariant_suite(rng, tiny_config, tiny_run_config, tmp_path
     # permutation equivariance
     base = layer.forward(T.leaf(u), train=False).data
     perm = np.array([3, 1, 0, 2])
-    for bank in layer.banks:
-        bank.data = bank.data[perm]
+    layer.transform.data = layer.transform.data[perm]
     layer.attention.data = layer.attention.data[:, :, perm]
     permuted = layer.forward(T.leaf(u[..., perm]), train=False).data
     assert np.max(np.abs(base - permuted)) < 1e-6
@@ -174,7 +172,7 @@ def test_criterion_5_invariant_suite(rng, tiny_config, tiny_run_config, tmp_path
     loc = ConvCaps(loc_store, "l", 3, 3, 4, 2, rng, stride=2, dtype=np.float64)
     point = np.zeros((1, 8, 8, 3, 3))
     point[0, 5, 2] = rng.standard_normal((3, 3))
-    pre = attention_route(loc.transform(T.leaf(point)), loc.attention).data
+    pre = pre_activation(loc, point)
     nz = np.nonzero(np.abs(pre) > 1e-12)
     for i, j in zip(nz[1], nz[2]):
         assert 2 * i <= 5 <= 2 * i + 2 and 2 * j <= 2 <= 2 * j + 2

@@ -11,6 +11,7 @@ import pytest
 
 from arcaps import selftest, tensor as T
 from arcaps.gradcheck import check_gradients
+from arcaps.selftest import softmax_probe
 
 SEEDS = range(5)
 
@@ -37,17 +38,6 @@ def test_conv2d_gradients(seed, stride, padding):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_channelwise_dot3d_gradients(seed):
-    rng = np.random.default_rng(10 + seed)
-    d, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-    x = rng.standard_normal((2, 3, 2, d, m))
-    ref = rng.standard_normal((d, m))
-    arrays = [x, ref]
-    check_gradients(
-        _frozen_weight(rng, lambda ts: T.channelwise_dot3d(ts[0], ts[1]), arrays), arrays)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_channel_affine_gradients(seed):
     rng = np.random.default_rng(20 + seed)
     k, m, e = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
@@ -60,23 +50,28 @@ def test_channel_affine_gradients(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_route_combine_gradients(seed):
+def test_transform_route_gradients(seed):
     rng = np.random.default_rng(30 + seed)
-    d, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-    stack = rng.standard_normal((2, 2, 2, d, m))
-    weights = rng.standard_normal((2, 2, 2, m))
-    arrays = [stack, weights]
+    k, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    n, e = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    cols = rng.standard_normal((2, 2, 3, k, m))
+    w = rng.standard_normal((m, k, n * e)) * 0.5
+    ref = rng.standard_normal((n, e, m))
+    arrays = [cols, w, ref]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.route_combine(ts[0], ts[1]), arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], ts[2]), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_softmax_gradients(seed):
+    # the routing softmax alone: the probe makes the op's output its weights
     rng = np.random.default_rng(40 + seed)
-    x = rng.standard_normal((3, int(rng.integers(2, 7)))) * 2
-    arrays = [x]
+    logits = rng.standard_normal((3, 1, 1, int(rng.integers(2, 7)))) * 2
+    w, ref = softmax_probe(logits.shape[-1])
+    arrays = [np.stack([np.ones_like(logits), logits], axis=3)]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.softmax_axis(ts[0], 1), arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], T.leaf(w), T.leaf(ref)),
+                       arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -166,19 +161,11 @@ def test_im2col_capsules_gradients(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_reshape_stack_slice_gradients(seed):
+def test_reshape_gradients(seed):
     rng = np.random.default_rng(120 + seed)
     a = rng.standard_normal((2, 6))
-    b = rng.standard_normal((3, 2, 2))
-    marker = T.leaf(rng.standard_normal((2, 2, 2)))
-
-    def build(ts):
-        r = T.reshape(ts[0], (3, 4))
-        s = T.slice_axis0(ts[1], 1)
-        return T.add(T.sum_all(T.square(r)),
-                     T.sum_all(T.mul(T.stack_last([s, s]), marker)))
-
-    check_gradients(build, [a, b])
+    marker = T.leaf(rng.standard_normal((3, 4)))
+    check_gradients(lambda ts: T.sum_all(T.mul(T.reshape(ts[0], (3, 4)), marker)), [a])
 
 
 def test_end_to_end_tiny_model():

@@ -6,8 +6,11 @@ import pytest
 from arcaps import reference, tensor as T
 from arcaps.errors import ConfigurationError
 from arcaps.layers import (CapsuleActivation, ConvCaps, FullyConvCaps,
-                           PrimaryCaps, attention_route, squash, squash_exp)
+                           PrimaryCaps, squash, squash_exp, uniform_init)
 from arcaps.optim import ParameterStore
+from arcaps.selftest import routing_weights
+
+from conftest import layer_banks, pre_activation, transform_stacks
 
 
 def make_conv_caps(rng, in_dim=3, in_ch=3, dim=4, channels=2, stride=1,
@@ -143,9 +146,9 @@ class TestPrimaryCaps:
             bias = layer.bias.data[n::layer.channels]
             y = T.relu(T.conv2d(T.leaf(feats), T.leaf(kern), T.leaf(bias),
                                 2, "same"))
-            per_channel.append(y)
-        stacked = T.stack_last(per_channel)
-        expected = layer.activation.forward(stacked).data
+            per_channel.append(y.data)
+        stacked = np.stack(per_channel, axis=-1)
+        expected = layer.activation.forward(T.leaf(stacked)).data
         assert np.max(np.abs(merged - expected)) < 1e-6
 
     def test_output_shape_halves_spatial(self, rng):
@@ -159,23 +162,23 @@ class TestPrimaryCaps:
 class TestConvTransform:
     def test_zero_kernels_give_zero_stacks(self, rng):
         layer, _ = make_conv_caps(rng)
-        for bank in layer.banks:
-            bank.data = np.zeros_like(bank.data)
-        stacks = layer.transform(T.leaf(rng.standard_normal((1, 4, 4, 3, 3))))
-        assert all(np.all(s.data == 0) for s in stacks)
+        layer.transform.data = np.zeros_like(layer.transform.data)
+        u = rng.standard_normal((1, 4, 4, 3, 3))
+        assert all(np.all(s == 0) for s in transform_stacks(layer, u))
+        assert np.all(pre_activation(layer, u) == 0)
 
     def test_stride_two_halves_spatial(self, rng):
         layer, _ = make_conv_caps(rng, stride=2)
-        stacks = layer.transform(T.leaf(rng.standard_normal((1, 14, 14, 3, 3))))
-        assert stacks[0].shape == (1, 7, 7, 4, 3)
+        u = rng.standard_normal((1, 14, 14, 3, 3))
+        assert transform_stacks(layer, u)[0].shape == (1, 7, 7, 4, 3)
+        assert pre_activation(layer, u).shape == (1, 7, 7, 4, 2)
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
             layer, _ = make_conv_caps(rng)
             u = rng.standard_normal((1, 3, 3, 3, 3))
-            fast = [s.data for s in layer.transform(T.leaf(u))]
-            slow = reference.conv_transform_loops(
-                u, [b.data for b in layer.banks], 1, "same")
+            fast = transform_stacks(layer, u)
+            slow = reference.conv_transform_loops(u, layer_banks(layer), 1, "same")
             for f, s in zip(fast, slow):
                 assert np.max(np.abs(f - s)) < 1e-6
 
@@ -184,52 +187,60 @@ class TestConvTransform:
         u = rng.standard_normal((1, 8, 8, 3, 3))
         shifted = np.zeros_like(u)
         shifted[:, 2:] = u[:, :-2]  # shift content two cells along width
-        base = layer.transform(T.leaf(u))[0].data
-        moved = layer.transform(T.leaf(shifted))[0].data
+        base = transform_stacks(layer, u)[0]
+        moved = transform_stacks(layer, shifted)[0]
         # stride-2 shift of the input moves the output by one cell; edge
         # rows touch padding, so compare the overlapping interior only
         assert np.max(np.abs(moved[:, 1:3] - base[:, 0:2])) < 1e-6
+
+    def test_transform_filled_bank_by_bank_in_rng_order(self):
+        # the fused weight holds the values that separate per-output-channel
+        # (M, kw, kh, D, E) kernels drawn one after another would hold
+        layer, _ = make_conv_caps(np.random.default_rng(5), in_dim=3, in_ch=2,
+                                  dim=4, channels=3, dtype=np.float32)
+        rng = np.random.default_rng(5)
+        for n in range(3):
+            bank = uniform_init(rng, (2, 3, 3, 3, 4), 27, 36, np.float32)
+            assert np.array_equal(layer.transform.data[:, :, 4 * n:4 * n + 4],
+                                  bank.reshape(2, 27, 4))
+        assert layer.transform.shape == (2, 27, 12)
 
 
 class TestAttentionRoute:
     def test_single_input_channel_passes_through(self, rng):
         layer, _ = make_conv_caps(rng, in_ch=1, channels=2)
         u = rng.standard_normal((1, 3, 3, 3, 1))
-        stacks = layer.transform(T.leaf(u))
-        routed = attention_route(stacks, layer.attention).data
+        routed = pre_activation(layer, u)
+        stacks = reference.conv_transform_loops(u, layer_banks(layer), 1, "same")
         for n, stack in enumerate(stacks):
-            assert np.allclose(routed[..., n], stack.data[..., 0], atol=1e-12)
+            assert np.allclose(routed[..., n], stack[..., 0], atol=1e-12)
         # and the attention weights are irrelevant for a single channel
         layer.attention.data = rng.standard_normal(layer.attention.shape)
-        routed2 = attention_route(layer.transform(T.leaf(u)), layer.attention).data
-        assert np.allclose(routed, routed2, atol=1e-12)
+        assert np.allclose(routed, pre_activation(layer, u), atol=1e-12)
 
     def test_zero_reference_gives_channel_mean(self, rng):
         layer, _ = make_conv_caps(rng)
         layer.attention.data = np.zeros_like(layer.attention.data)
         u = rng.standard_normal((1, 3, 3, 3, 3))
-        stacks = layer.transform(T.leaf(u))
-        routed = attention_route(stacks, layer.attention).data
-        for n, stack in enumerate(stacks):
-            assert np.allclose(routed[..., n], stack.data.mean(axis=-1), atol=1e-9)
+        routed = pre_activation(layer, u)
+        for n, stack in enumerate(transform_stacks(layer, u)):
+            assert np.allclose(routed[..., n], stack.mean(axis=-1), atol=1e-9)
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
             layer, _ = make_conv_caps(rng, in_dim=4, in_ch=3, dim=4, channels=3)
             u = rng.standard_normal((1, 2, 2, 4, 3))
-            stacks = layer.transform(T.leaf(u))
-            fast = attention_route(stacks, layer.attention).data
-            slow = reference.attention_route_loops(
-                [s.data for s in stacks], layer.attention.data)
+            fast = pre_activation(layer, u)
+            stacks = reference.conv_transform_loops(u, layer_banks(layer), 1, "same")
+            slow = reference.attention_route_loops(stacks, layer.attention.data)
             assert np.max(np.abs(fast - slow)) < 1e-6
 
     def test_routing_weights_normalized_and_positive(self, rng):
         layer, _ = make_conv_caps(rng)
         u = rng.standard_normal((2, 4, 4, 3, 3)) * 3
-        stacks = layer.transform(T.leaf(u))
-        for n in range(layer.channels):
-            logits = T.channelwise_dot3d(stacks[n], T.slice_axis0(layer.attention, n))
-            weights = T.softmax_axis(logits, -1).data
+        for n, stack in enumerate(transform_stacks(layer, u)):
+            logits = np.einsum("bwhem,em->bwhm", stack, layer.attention.data[n])
+            weights = routing_weights(logits)
             assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(weights > 0)
 
@@ -242,9 +253,9 @@ class TestConvCaps:
         layer.activation.bias.data = np.zeros((2, 4))
         u = rng.standard_normal((1, 3, 3, 3, 3))
         out = layer.forward(T.leaf(u), train=False).data
-        stacks = layer.transform(T.leaf(u))
+        stacks = transform_stacks(layer, u)
         for n in range(2):
-            assert np.allclose(out[..., n], np.tanh(stacks[n].data.mean(axis=-1)),
+            assert np.allclose(out[..., n], np.tanh(stacks[n].mean(axis=-1)),
                                atol=1e-9)
 
     def test_output_inside_unit_interval(self, rng):
@@ -271,9 +282,8 @@ class TestConvCaps:
                                   residual=True)
         u = rng.standard_normal((1, 3, 3, 4, 3))
         with_res = layer.forward(T.leaf(u), train=False).data
-        layer.residual = False
-        pre = attention_route(layer.transform(T.leaf(u)), layer.attention)
-        expected = layer.activation.forward(T.add(pre, T.leaf(u))).data
+        pre = pre_activation(layer, u)
+        expected = layer.activation.forward(T.leaf(pre + u)).data
         assert np.allclose(with_res, expected, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
@@ -281,8 +291,7 @@ class TestConvCaps:
         u = rng.standard_normal((1, 4, 4, 3, 4))
         base = layer.forward(T.leaf(u), train=False).data
         perm = np.array([2, 0, 3, 1])
-        for bank in layer.banks:
-            bank.data = bank.data[perm]
+        layer.transform.data = layer.transform.data[perm]
         layer.attention.data = layer.attention.data[:, :, perm]
         permuted = layer.forward(T.leaf(u[..., perm]), train=False).data
         assert np.max(np.abs(base - permuted)) < 1e-6
@@ -292,7 +301,7 @@ class TestConvCaps:
         u = np.zeros((1, 8, 8, 3, 3))
         w0, h0 = 4, 5
         u[0, w0, h0] = rng.standard_normal((3, 3))
-        pre = attention_route(layer.transform(T.leaf(u)), layer.attention).data
+        pre = pre_activation(layer, u)
         # stride-2 same padding: output (i, j) sees input rows 2i..2i+2
         nz = np.nonzero(np.abs(pre) > 1e-12)
         for i, j in zip(nz[1], nz[2]):
@@ -331,8 +340,7 @@ class TestFullyConvCaps:
             layer, _ = self._layer(rng)
             u = rng.standard_normal((1, 3, 3, 3, 2))
             fast = layer.forward(T.leaf(u), train=False).data
-            stacks = reference.conv_transform_loops(
-                u, [b.data for b in layer.banks], 1, "valid")
+            stacks = reference.conv_transform_loops(u, layer_banks(layer), 1, "valid")
             routed = reference.attention_route_loops(stacks, layer.attention.data)
             slow = reference.capsule_activation_loops(
                 routed, layer.activation.weight.data, layer.activation.bias.data)

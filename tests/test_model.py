@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcaps import tensor as T
+from arcaps import checkpoint, tensor as T
 from arcaps.errors import ConfigurationError, InputDataError
 from arcaps.model import (ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters,
                           margin_loss, normalized_length, reconstruction_loss,
@@ -264,6 +264,72 @@ class TestCheckpoint:
         loaded, _, _ = load_model(path)
         after = loaded.forward(images).scores.data
         assert np.array_equal(before, after)
+
+    def test_one_transform_record_per_caps_layer(self, tmp_path, tiny_config,
+                                                 tiny_run_config):
+        net = ArCapsNet(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, tiny_run_config)
+        _, arrays = checkpoint.load(path)
+        transforms = sorted(n for n in arrays if ".transform" in n)
+        assert transforms == ["convcaps0.transform", "fullycaps.transform"]
+        # (M, kw*kh*D_in, N*D_out): primary 2x3 -> 3x4 stride 2, then 4x4 -> 3x4
+        assert arrays["convcaps0.transform"].shape == (2, 27, 12)
+        assert arrays["fullycaps.transform"].shape == (3, 2 * 2 * 4, 3 * 4)
+
+    def test_previous_format_rejected(self, tmp_path, tiny_config, tiny_run_config):
+        net = ArCapsNet(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, tiny_run_config)
+        raw = path.read_bytes()
+        path.write_bytes(b"ARCAPS01" + raw[8:])
+        with pytest.raises(InputDataError, match="ARCAPS01.*ARCAPS02"):
+            load_model(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_config,
+                                              tiny_run_config, monkeypatch):
+        net = ArCapsNet(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, tiny_run_config)
+        before = path.read_bytes()
+        written = []
+
+        def failing_record(fh, name, array):
+            if written:
+                fh.write(b"partial")
+                raise OSError("disk full")
+            written.append(name)
+            fh.write(b"\x00" * 64)
+
+        monkeypatch.setattr(checkpoint, "_write_record", failing_record)
+        net2 = ArCapsNet(tiny_config, seed=1)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(path, net2, tiny_run_config)
+        assert written  # the failure came after some bytes were written
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_non_float32_arrays_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ConfigurationError, match="float64"):
+            checkpoint.save(path, "", {"a": np.zeros(3, dtype=np.float32),
+                                       "b": np.zeros(3, dtype=np.float64)})
+        assert not list(tmp_path.iterdir())
+
+    def test_float64_model_not_saved(self, tmp_path, tiny_config, tiny_run_config):
+        net = ArCapsNet(tiny_config, seed=0, dtype=np.float64)
+        with pytest.raises(ConfigurationError, match="float32 only"):
+            save_model(tmp_path / "model.ckpt", net, tiny_run_config)
+
+
+def test_float32_train_step_graph_is_float32(rng, tiny_config):
+    net = ArCapsNet(tiny_config, seed=0)
+    images = rng.random((3, 8, 8, 1), dtype=np.float32)
+    total, *_ = net.loss(images, np.array([0, 1, 2]), train=True,
+                         rng=np.random.default_rng(0))
+    nodes = T.topo_order(total)
+    wrong = [n for n in nodes if n.dtype != np.float32]
+    assert not wrong, f"{len(wrong)} of {len(nodes)} nodes are not float32: {wrong[:3]}"
 
 
 def test_total_loss_nonnegative(rng, tiny_config):

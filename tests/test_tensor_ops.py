@@ -5,6 +5,7 @@ import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
+from arcaps.selftest import routing_weights
 
 
 class TestConv2d:
@@ -49,60 +50,55 @@ class TestConv2d:
         assert "(1, 4, 4, 3)" in str(err.value) and "(3, 3, 2, 4)" in str(err.value)
 
 
-class TestChannelwiseDot:
-    def test_all_ones_reference_sums_dims(self, rng):
-        x = rng.standard_normal((2, 3, 3, 4, 3))
-        out = T.channelwise_dot3d(T.leaf(x), T.leaf(np.ones((4, 3))))
-        assert np.allclose(out.data, x.sum(axis=3), atol=1e-6)
-
-    def test_unit_self_inner_product(self):
-        ref = np.zeros((4, 3))
-        ref[:, 1] = np.array([0.5, 0.5, 0.5, 0.5])  # unit norm column
-        x = np.zeros((1, 2, 2, 4, 3))
-        x[..., 1] = ref[:, 1]
-        out = T.channelwise_dot3d(T.leaf(x), T.leaf(ref))
-        assert np.allclose(out.data[..., 1], 1.0, atol=1e-6)
-
-    def test_matches_loop_oracle(self, rng):
-        x = rng.standard_normal((1, 2, 2, 4, 3))
-        ref = rng.standard_normal((4, 3))
-        fast = T.channelwise_dot3d(T.leaf(x), T.leaf(ref)).data
-        slow = reference.channelwise_dot3d_loops(x, ref)
-        assert np.max(np.abs(fast - slow)) < 1e-6
-
-    def test_dim_mismatch_rejected(self):
+class TestTransformRoute:
+    def test_shape_mismatch_rejected(self):
+        cols = T.leaf(np.zeros((1, 2, 2, 4, 3)))
         with pytest.raises(ConfigurationError):
-            T.channelwise_dot3d(T.leaf(np.zeros((1, 2, 2, 4, 3))),
-                                T.leaf(np.zeros((5, 3))))
+            T.transform_route(cols, T.leaf(np.zeros((3, 4, 6))), T.leaf(np.zeros((2, 3, 2))))
+        with pytest.raises(ConfigurationError):
+            T.transform_route(cols, T.leaf(np.zeros((3, 5, 6))), T.leaf(np.zeros((2, 3, 3))))
+        with pytest.raises(ConfigurationError):
+            T.transform_route(cols, T.leaf(np.zeros((3, 4, 8))), T.leaf(np.zeros((2, 3, 3))))
+
+    def test_float32_stays_float32(self, rng):
+        cols = T.leaf(rng.standard_normal((2, 2, 2, 4, 3)).astype(np.float32), needs_grad=True)
+        w = T.leaf(rng.standard_normal((3, 4, 6)).astype(np.float32), needs_grad=True)
+        ref = T.leaf(rng.standard_normal((2, 3, 3)).astype(np.float32), needs_grad=True)
+        out = T.transform_route(cols, w, ref)
+        T.backward(T.sum_all(out))
+        assert out.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (cols, w, ref))
 
 
 class TestSoftmax:
+    """The softmax over input channels inside transform_route."""
+
     def test_equal_logits_uniform(self):
-        out = T.softmax_axis(T.leaf(np.zeros((2, 8))), 1)
-        assert np.allclose(out.data, 0.125, atol=1e-7)
+        out = routing_weights(np.zeros((2, 1, 1, 8)))
+        assert np.allclose(out, 0.125, atol=1e-7)
 
     def test_extreme_logits_stable(self):
-        out = T.softmax_axis(T.leaf(np.array([[1000.0, 0.0]])), 1)
-        assert np.isfinite(out.data).all()
-        assert abs(out.data[0, 0] - 1.0) < 1e-30
-        assert out.data[0, 1] < 1e-30
+        out = routing_weights(np.array([[[[1000.0, 0.0]]]]))[0, 0, 0]
+        assert np.isfinite(out).all()
+        assert abs(out[0] - 1.0) < 1e-30
+        assert out[1] < 1e-30
 
     def test_hand_computed_values(self):
-        out = T.softmax_axis(T.leaf(np.array([1.0, 2.0, 3.0])), 0)
-        assert np.allclose(out.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-4)
+        out = routing_weights(np.array([[[[1.0, 2.0, 3.0]]]]))[0, 0, 0]
+        assert np.allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-4)
 
     def test_sums_to_one_and_shift_invariant(self, rng):
         for _ in range(5):
-            x = rng.standard_normal((3, 7)) * 5
-            a = T.softmax_axis(T.leaf(x), 1).data
-            b = T.softmax_axis(T.leaf(x + 13.7), 1).data
-            assert np.allclose(a.sum(axis=1), 1.0, atol=1e-6)
+            x = rng.standard_normal((3, 1, 1, 7)) * 5
+            a = routing_weights(x)
+            b = routing_weights(x + 13.7)
+            assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(a > 0) and np.all(a < 1)
             assert np.allclose(a, b, atol=1e-6)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ComputationError):
-            T.softmax_axis(T.leaf(np.array([np.inf, 1.0])), 0)
+        with pytest.raises(ComputationError), np.errstate(invalid="ignore"):
+            routing_weights(np.array([[[[np.inf, 1.0]]]]))
 
 
 class TestElementwise:
@@ -231,15 +227,3 @@ class TestReshapeStackSlice:
         T.backward(T.sum_all(T.square(out)))
         assert p.grad.shape == (2, 6)
         assert np.allclose(p.grad, 2 * p.data, atol=1e-7)
-
-    def test_stack_and_slice(self, rng):
-        parts = [rng.standard_normal((2, 3)) for _ in range(4)]
-        stacked = T.stack_last([T.leaf(p) for p in parts])
-        assert stacked.shape == (2, 3, 4)
-        for i, p in enumerate(parts):
-            assert np.array_equal(stacked.data[..., i], p)
-        full = T.leaf(np.stack(parts), needs_grad=True)
-        sliced = T.slice_axis0(full, 2)
-        T.backward(T.sum_all(sliced))
-        assert np.array_equal(full.grad[2], np.ones((2, 3)))
-        assert np.all(full.grad[[0, 1, 3]] == 0)
