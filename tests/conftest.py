@@ -57,6 +57,26 @@ def transform_stacks(layer, u):
     return [stacked[..., n, :] for n in range(layer.channels)]
 
 
+def routing_logits(x, ref):
+    """The routing logits <x[..., :, m], ref[:, m]> with which transform_route
+    weighs (B, W, H, D, M) predictions against a (D, M) reference, read back
+    from its routing weights. Each input channel predicts x[..., :, m]
+    followed by one-hot(m), so the output holds the weights a; an appended
+    all-zero channel has logit 0, so logit_m = log(a_m / a_M)."""
+    b, w, h, d, m = x.shape
+    cols = np.zeros((b, w, h, d + 1, m + 1), dtype=x.dtype)
+    cols[..., :d, :m] = x
+    cols[..., d, :] = 1.0
+    weight = np.zeros((m + 1, d + 1, d + m + 1), dtype=x.dtype)
+    weight[:, :d, :d] = np.eye(d)
+    weight[np.arange(m + 1), d, d + np.arange(m + 1)] = 1.0
+    reference = np.zeros((1, ref.shape[0] + m + 1, m + 1), dtype=x.dtype)
+    reference[0, :ref.shape[0], :m] = ref
+    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference)).data
+    a = out[..., d:, 0]
+    return np.log(a[..., :m]) - np.log(a[..., m:])
+
+
 def real_mnist_dir():
     """Directory holding canonical MNIST IDX files, or None."""
     root = os.environ.get("ARCAPS_DATA_DIR")

@@ -38,6 +38,21 @@ def test_conv2d_gradients(seed, stride, padding):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_channelwise_dot3d_gradients(seed):
+    # the routing logits <x[..., :, m], reference[:, m]>: with an identity
+    # transform the predictions are the input capsules themselves
+    rng = np.random.default_rng(10 + seed)
+    d, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    x = rng.standard_normal((2, 3, 2, d, m))
+    ref = rng.standard_normal((1, d, m))
+    identity = T.leaf(np.broadcast_to(np.eye(d), (m, d, d)).copy())
+    arrays = [x, ref]
+    check_gradients(
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], identity, ts[1]), arrays),
+        arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_channel_affine_gradients(seed):
     rng = np.random.default_rng(20 + seed)
     k, m, e = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
@@ -60,6 +75,22 @@ def test_transform_route_gradients(seed):
     arrays = [cols, w, ref]
     check_gradients(
         _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], ts[2]), arrays), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_route_combine_gradients(seed):
+    # the weighted sum over input channels: a zero reference gives every
+    # channel weight 1/M, so only the sum carries gradient to the predictions
+    rng = np.random.default_rng(130 + seed)
+    k, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    n, e = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    cols = rng.standard_normal((2, 2, 2, k, m))
+    w = rng.standard_normal((m, k, n * e)) * 0.5
+    zero_ref = T.leaf(np.zeros((n, e, m)))
+    arrays = [cols, w]
+    check_gradients(
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], zero_ref), arrays),
+        arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

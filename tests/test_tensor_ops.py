@@ -6,6 +6,7 @@ import pytest
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.selftest import routing_weights
+from conftest import routing_logits
 
 
 class TestConv2d:
@@ -48,6 +49,34 @@ class TestConv2d:
         with pytest.raises(ConfigurationError) as err:
             T.conv2d(x, k)
         assert "(1, 4, 4, 3)" in str(err.value) and "(3, 3, 2, 4)" in str(err.value)
+
+
+class TestChannelwiseDot:
+    """The routing logits inside transform_route."""
+
+    def test_all_ones_reference_sums_dims(self, rng):
+        x = rng.standard_normal((2, 3, 3, 4, 3))
+        out = routing_logits(x, np.ones((4, 3)))
+        assert np.allclose(out, x.sum(axis=3), atol=1e-6)
+
+    def test_unit_self_inner_product(self):
+        ref = np.zeros((4, 3))
+        ref[:, 1] = np.array([0.5, 0.5, 0.5, 0.5])  # unit norm column
+        x = np.zeros((1, 2, 2, 4, 3))
+        x[..., 1] = ref[:, 1]
+        out = routing_logits(x, ref)
+        assert np.allclose(out[..., 1], 1.0, atol=1e-6)
+
+    def test_matches_loop_oracle(self, rng):
+        x = rng.standard_normal((1, 2, 2, 4, 3))
+        ref = rng.standard_normal((4, 3))
+        fast = routing_logits(x, ref)
+        slow = reference.channelwise_dot3d_loops(x, ref)
+        assert np.max(np.abs(fast - slow)) < 1e-6
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            routing_logits(np.zeros((1, 2, 2, 4, 3)), np.zeros((5, 3)))
 
 
 class TestTransformRoute:
