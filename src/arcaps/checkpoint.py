@@ -1,9 +1,9 @@
 """Binary checkpoint container.
 
 Layout:
-  8 bytes   magic "ARCAPS02"
+  8 bytes   magic "ARCAPS03"
   8 bytes   metadata length, unsigned little-endian
-  N bytes   metadata, UTF-8 text (config lines plus optimizer step count)
+  N bytes   metadata, UTF-8 text (config lines, then state.* lines)
   records until end of file, each:
     8 bytes           name length (LE unsigned)
     name bytes        UTF-8
@@ -14,8 +14,10 @@ Layout:
 Round-trips are byte exact: values are written raw from float32 storage,
 and arrays of any other dtype are rejected rather than converted. Each
 capsule layer stores its transform as one ``<layer>.transform`` record of
-shape (M, kw*kh*D_in, N*D_out). ``ARCAPS01`` files, which held one
-``<layer>.transform.<n>`` record per output channel, are rejected.
+shape (M, kw*kh*D_in, N*D_out). ``train.save_model`` writes one record
+per ParameterStore entry (parameters and batchnorm running statistics)
+and nothing else. Files of earlier formats are rejected with the reason
+(see ``_OLD_MAGICS``); there is no conversion path.
 
 ``save`` writes ``<path>.tmp`` next to the target and renames it over the
 target only once it is complete and synced, so a crash mid-write leaves
@@ -32,8 +34,12 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 
-MAGIC = b"ARCAPS02"
-_OLD_MAGIC = b"ARCAPS01"
+MAGIC = b"ARCAPS03"
+_OLD_MAGICS = {
+    b"ARCAPS01": "stores one transform record per output channel",
+    b"ARCAPS02": ("may hold optimizer state and has a config key this "
+                  "version no longer accepts"),
+}
 
 
 def _write_record(fh, name, array):
@@ -98,11 +104,10 @@ def load(path):
     arrays = {}
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic == _OLD_MAGIC:
+        if magic in _OLD_MAGICS:
             raise InputDataError(
-                f"{path}: {_OLD_MAGIC!r} checkpoint stores one transform record "
-                f"per output channel; this version reads only {MAGIC!r}, "
-                f"which stores one fused transform per layer")
+                f"{path}: {magic!r} checkpoint {_OLD_MAGICS[magic]}; this "
+                f"version reads only {MAGIC!r}")
         if magic != MAGIC:
             raise InputDataError(
                 f"{path}: bad magic {magic!r} at offset 0 (expected {MAGIC!r})")

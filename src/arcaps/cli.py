@@ -40,7 +40,6 @@ def _build_parser():
         p.add_argument("--epochs", type=int, help="override train.epochs")
         p.add_argument("--batch-size", type=int, help="override train.batch_size")
         p.add_argument("--out-dir", help="override train.out_dir")
-        p.add_argument("--workers", type=int, help="override train.workers")
         p.add_argument("--samples", type=int, help="override analyze.samples")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
@@ -66,7 +65,7 @@ def _load_run_config(args):
         cfg = cfgmod.parse_file(args.config)
     overrides = {
         "seed": args.seed, "epochs": args.epochs, "batch_size": args.batch_size,
-        "out_dir": args.out_dir, "workers": args.workers, "samples": args.samples,
+        "out_dir": args.out_dir, "samples": args.samples,
     }
     lines = []
     for attr, value in overrides.items():

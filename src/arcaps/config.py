@@ -16,45 +16,44 @@ from .model import ModelConfig, standard_stack
 
 DATA_DIR_ENV = "ARCAPS_DATA_DIR"
 
-# key -> (attribute, type tag, default)
+# key -> (attribute, type tag); defaults live in RunConfig
 _SCHEMA = {
-    "model.input_width": ("input_width", "int", 0),
-    "model.input_height": ("input_height", "int", 0),
-    "model.input_channels": ("input_channels", "int", 0),
-    "model.stem_width": ("stem_width", "int", 64),
-    "model.primary_dim": ("primary_dim", "int", 16),
-    "model.primary_channels": ("primary_channels", "int", 8),
-    "model.conv_caps": ("conv_caps", "int", 1),
-    "model.caps_dim": ("caps_dim", "int", 32),
-    "model.caps_channels": ("caps_channels", "int", 8),
-    "model.residual": ("residual", "bool", True),
-    "model.classes": ("classes", "int", 10),
-    "model.decoder_widths": ("decoder_widths", "ints", (512, 512)),
-    "loss.m_plus": ("m_plus", "float", 0.9),
-    "loss.m_minus": ("m_minus", "float", 0.1),
-    "loss.lambda": ("loss_lambda", "float", 0.5),
-    "loss.recon_scale": ("recon_scale", "float", 0.3),
-    "data.kind": ("kind", "str", "mnist"),
-    "data.dir": ("data_dir", "str", ""),
-    "data.train_images": ("train_images", "str", "train-images-idx3-ubyte"),
-    "data.train_labels": ("train_labels", "str", "train-labels-idx1-ubyte"),
-    "data.test_images": ("test_images", "str", "t10k-images-idx3-ubyte"),
-    "data.test_labels": ("test_labels", "str", "t10k-labels-idx1-ubyte"),
-    "data.translate": ("translate", "float", 0.0),
-    "data.rotate": ("rotate", "float", 0.0),
-    "data.flip": ("flip", "bool", False),
-    "data.pad_to": ("pad_to", "int", 0),
-    "train.epochs": ("epochs", "int", 20),
-    "train.batch_size": ("batch_size", "int", 100),
-    "train.seed": ("seed", "int", 0),
-    "train.out_dir": ("out_dir", "str", "out"),
-    "train.workers": ("workers", "int", 1),
-    "analyze.samples": ("samples", "int", 10000),
-    "analyze.families": ("families", "strs", ("Rot+", "x+", "y+", "Rot-", "x-", "y-")),
-    "analyze.dimensions": ("dimensions", "ints", ()),
+    "model.input_width": ("input_width", "int"),
+    "model.input_height": ("input_height", "int"),
+    "model.input_channels": ("input_channels", "int"),
+    "model.stem_width": ("stem_width", "int"),
+    "model.primary_dim": ("primary_dim", "int"),
+    "model.primary_channels": ("primary_channels", "int"),
+    "model.conv_caps": ("conv_caps", "int"),
+    "model.caps_dim": ("caps_dim", "int"),
+    "model.caps_channels": ("caps_channels", "int"),
+    "model.residual": ("residual", "bool"),
+    "model.classes": ("classes", "int"),
+    "model.decoder_widths": ("decoder_widths", "ints"),
+    "loss.m_plus": ("m_plus", "float"),
+    "loss.m_minus": ("m_minus", "float"),
+    "loss.lambda": ("loss_lambda", "float"),
+    "loss.recon_scale": ("recon_scale", "float"),
+    "data.kind": ("kind", "str"),
+    "data.dir": ("data_dir", "str"),
+    "data.train_images": ("train_images", "str"),
+    "data.train_labels": ("train_labels", "str"),
+    "data.test_images": ("test_images", "str"),
+    "data.test_labels": ("test_labels", "str"),
+    "data.translate": ("translate", "float"),
+    "data.rotate": ("rotate", "float"),
+    "data.flip": ("flip", "bool"),
+    "data.pad_to": ("pad_to", "int"),
+    "train.epochs": ("epochs", "int"),
+    "train.batch_size": ("batch_size", "int"),
+    "train.seed": ("seed", "int"),
+    "train.out_dir": ("out_dir", "str"),
+    "analyze.samples": ("samples", "int"),
+    "analyze.families": ("families", "strs"),
+    "analyze.dimensions": ("dimensions", "ints"),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _SCHEMA.items()}
+_ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}
 
 _INPUT_SHAPES = {"mnist": (28, 28, 1), "cifar10": (32, 32, 3)}
 
@@ -91,7 +90,6 @@ class RunConfig:
     batch_size: int = 100
     seed: int = 0
     out_dir: str = "out"
-    workers: int = 1
     samples: int = 10000
     families: tuple = ("Rot+", "x+", "y+", "Rot-", "x-", "y-")
     dimensions: tuple = ()
@@ -192,7 +190,7 @@ def parse_lines(lines, base=None, source="<config>"):
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigurationError(f"{source} line {lineno}: unknown key {key!r}")
-        attr, tag, _ = _SCHEMA[key]
+        attr, tag = _SCHEMA[key]
         values[attr] = _parse_value(tag, raw, key, lineno)
     return RunConfig(**values)
 
@@ -205,6 +203,6 @@ def parse_file(path, base=None):
 def serialize(cfg: RunConfig):
     """Full key = value text; parse_lines() of the result reproduces cfg."""
     out = []
-    for key, (attr, tag, _) in _SCHEMA.items():
+    for key, (attr, tag) in _SCHEMA.items():
         out.append(f"{key} = {_format_value(tag, getattr(cfg, attr))}")
     return "\n".join(out) + "\n"

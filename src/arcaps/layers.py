@@ -14,6 +14,9 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigurationError
 
+# decay of the stem's batchnorm running statistics per train-mode forward
+BN_MOMENTUM = 0.9
+
 
 def squash(vec):
     """Classic capsule nonlinearity: shrink the norm into [0,1), keep direction.
@@ -46,10 +49,7 @@ def uniform_init(rng, shape, fan_in, fan_out, dtype):
 class ConvBlock:
     """3x3 stride-1 same-padding convolution + batchnorm + relu (stem unit)."""
 
-    def __init__(self, store, name, cin, cout, rng, dtype=np.float32,
-                 bn_eps=1e-5, bn_momentum=0.9):
-        self.bn_eps = bn_eps
-        self.bn_momentum = bn_momentum
+    def __init__(self, store, name, cin, cout, rng, dtype=np.float32):
         self.kernel = store.add(
             name + ".kernel",
             uniform_init(rng, (3, 3, cin, cout), 9 * cin, 9 * cout, dtype),
@@ -68,11 +68,10 @@ class ConvBlock:
         y = T.conv2d(x, self.kernel, self.bias, stride=1, padding="same")
         y, mu, var = T.batchnorm(
             y, self.gamma, self.beta,
-            self.running_mean.data, self.running_var.data,
-            train, eps=self.bn_eps,
+            self.running_mean.data, self.running_var.data, train,
         )
         if train:
-            m = self.bn_momentum
+            m = BN_MOMENTUM
             self.running_mean.data = (m * self.running_mean.data + (1 - m) * mu).astype(
                 self.running_mean.dtype
             )

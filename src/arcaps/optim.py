@@ -18,14 +18,12 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name, array, trainable=True) -> Tensor:
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
         t = leaf(array, needs_grad=trainable)
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name) -> Tensor:
@@ -38,7 +36,7 @@ class ParameterStore:
         return self._params.items()
 
     def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if self._trainable[n]]
+        return [(n, t) for n, t in self._params.items() if t.needs_grad]
 
     def zero_grads(self):
         for t in self._params.values():

@@ -519,7 +519,7 @@ def transform_route(cols, weight, reference):
 # normalization / regularization
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var, train, eps=1e-5, momentum=0.9):
+def batchnorm(x, gamma, beta, running_mean, running_var, train, eps=1e-5):
     """Per-channel batch normalization over the trailing axis.
 
     Train mode normalizes with the batch statistics (and the gradient flows
@@ -580,10 +580,7 @@ def dropout(x, keep_prob, train, rng=None):
     if not 0.0 < keep_prob <= 1.0:
         raise ConfigurationError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not train or keep_prob == 1.0:
-        def rule(node):
-            x.accumulate_grad(node.grad)
-
-        return Tensor(x.data, (x,), rule)
+        return x
     if rng is None:
         raise ConfigurationError("dropout() in train mode needs an rng")
     mask = (rng.random(x.shape) < keep_prob).astype(x.dtype) / keep_prob

@@ -61,26 +61,16 @@ def _batch_rng(seed, epoch, batch_index):
     return np.random.default_rng(np.random.SeedSequence([0xD120, seed, epoch, batch_index]))
 
 
-def _checkpoint_metadata(run_config, step_count, best_val_error):
-    meta = cfgmod.serialize(run_config)
-    meta += f"state.step_count = {step_count}\n"
-    if np.isfinite(best_val_error):
-        meta += f"state.best_val_error = {best_val_error!r}\n"
-    return meta
-
-
-def save_model(path, model: ArCapsNet, run_config, state: RmspropState | None = None,
-               best_val_error=float("inf")):
+def save_model(path, model: ArCapsNet, run_config, best_val_error=float("inf")):
+    """Write the store's arrays, the run config and a finite best_val_error."""
     if run_config.model_config() != model.config:
         raise ConfigurationError(
             "run_config does not describe this model; the checkpoint would "
             "not rebuild it")
-    arrays = dict(model.store.state_arrays())
-    step = state.step_count if state is not None else 0
-    if state is not None:
-        for name, acc in state.acc.items():
-            arrays["optimizer.acc." + name] = acc
-    ckpt.save(path, _checkpoint_metadata(run_config, step, best_val_error), arrays)
+    meta = cfgmod.serialize(run_config)
+    if np.isfinite(best_val_error):
+        meta += f"state.best_val_error = {best_val_error!r}\n"
+    ckpt.save(path, meta, model.store.state_arrays())
 
 
 def load_model(path):
@@ -100,8 +90,7 @@ def load_model(path):
             cfg_lines.append(line)
     run_config = cfgmod.parse_lines(cfg_lines, source=str(path))
     model = ArCapsNet(run_config.model_config(), seed=run_config.seed)
-    params = {n: a for n, a in arrays.items() if not n.startswith("optimizer.")}
-    model.store.load_state(params)
+    model.store.load_state(arrays)
     return model, run_config, state_lines
 
 
@@ -116,34 +105,16 @@ def _check_finite(loss_value, model, batch_index):
                 f"first offending parameter {name!r}")
 
 
-def _train_one_batch(model, images, labels, rng, batch_index, workers):
-    """Forward/backward over fixed-order shards; returns loss components.
-
-    Shard losses are scaled by shard_size / batch_size before backward so
-    the accumulated gradients equal the full-batch mean-loss gradient; the
-    merge order is the shard order, which makes multi-shard runs
-    deterministic for a fixed shard count.
-    """
-    batch = images.shape[0]
-    shard_count = max(1, min(workers, batch))
-    bounds = np.linspace(0, batch, shard_count + 1, dtype=int)
-    total_v = margin_v = recon_v = 0.0
+def _train_one_batch(model, images, labels, rng, batch_index):
+    """Forward and backward over the whole batch; returns loss components."""
     try:
-        for s in range(shard_count):
-            lo, hi = bounds[s], bounds[s + 1]
-            if lo == hi:
-                continue
-            weight = (hi - lo) / batch
-            total, margin, recon, _ = model.loss(
-                images[lo:hi], labels[lo:hi], train=True, rng=rng)
-            T.backward(T.affine(total, weight))
-            total_v += total.item() * weight
-            margin_v += margin.item() * weight
-            recon_v += recon.item() * weight
+        total, margin, recon, _ = model.loss(images, labels, train=True, rng=rng)
+        T.backward(total)
     except ComputationError as exc:
         raise ComputationError(f"batch {batch_index}: {exc}") from exc
+    total_v = total.item()
     _check_finite(total_v, model, batch_index)
-    return total_v, margin_v, recon_v
+    return total_v, margin.item(), recon.item()
 
 
 def evaluate(model: ArCapsNet, dataset: Dataset, batch_size=100) -> EvalResult:
@@ -207,7 +178,6 @@ def train(run_config: cfgmod.RunConfig, dataset: Dataset, out_dir=None,
 
     start = time.perf_counter()
     metrics_rows = []
-    step = 0
     for epoch in range(1, epochs + 1):
         loss_sums = np.zeros(3)
         seen = 0
@@ -217,12 +187,11 @@ def train(run_config: cfgmod.RunConfig, dataset: Dataset, out_dir=None,
             model.store.zero_grads()
             rng = _batch_rng(seed, epoch, b)
             total_v, margin_v, recon_v = _train_one_batch(
-                model, images, labels, rng, b, run_config.workers)
+                model, images, labels, rng, b)
             rmsprop_step(model.store, state)
             n = images.shape[0]
             loss_sums += np.array([total_v, margin_v, recon_v]) * n
             seen += n
-            step += 1
         val = evaluate(model, val_set, run_config.batch_size)
         stats = EpochStats(
             epoch=epoch,
@@ -240,17 +209,17 @@ def train(run_config: cfgmod.RunConfig, dataset: Dataset, out_dir=None,
         if val.error < run.best_val_error:
             run.best_val_error = val.error
             run.best_epoch = epoch
-            save_model(run.best_path, model, run_config, state, run.best_val_error)
+            save_model(run.best_path, model, run_config, run.best_val_error)
         if progress is not None:
             progress(
                 f"epoch {epoch}/{epochs}: loss {stats.train_loss:.4f} "
                 f"(margin {stats.margin_loss:.4f} recon {stats.recon_loss:.4f}) "
                 f"val acc {val.accuracy:.4f} [{stats.seconds:.1f}s]")
 
-    save_model(run.last_path, model, run_config, state, run.best_val_error)
+    save_model(run.last_path, model, run_config, run.best_val_error)
     if epochs == 0:
         # initialized model is both first and best
-        save_model(run.best_path, model, run_config, state, run.best_val_error)
+        save_model(run.best_path, model, run_config, run.best_val_error)
     (out / "metrics.csv").write_text(
         "\n".join([METRICS_HEADER, *metrics_rows]) + "\n", encoding="utf-8")
     return run

@@ -291,7 +291,7 @@ def test_criterion_9_determinism(tmp_path):
     cfg = RunConfig(input_width=28, input_height=28, input_channels=1,
                     stem_width=4, primary_dim=3, primary_channels=2,
                     conv_caps=1, caps_dim=4, caps_channels=3,
-                    epochs=2, batch_size=30, seed=11, workers=1,
+                    epochs=2, batch_size=30, seed=11,
                     data_dir=str(data_dir), out_dir=str(tmp_path / "run"))
 
     run1 = train(cfg, train_set)

@@ -282,9 +282,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(path, net, tiny_run_config)
         raw = path.read_bytes()
-        path.write_bytes(b"ARCAPS01" + raw[8:])
-        with pytest.raises(InputDataError, match="ARCAPS01.*ARCAPS02"):
-            load_model(path)
+        for old in ("ARCAPS01", "ARCAPS02"):
+            path.write_bytes(old.encode() + raw[8:])
+            with pytest.raises(InputDataError, match=f"{old}.*ARCAPS03"):
+                load_model(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, tiny_config,
                                               tiny_run_config, monkeypatch):

@@ -185,12 +185,16 @@ class TestDropout:
     def test_keep_prob_one_is_identity(self, rng):
         x = rng.standard_normal((5, 5))
         for train in (True, False):
-            out = T.dropout(T.leaf(x), 1.0, train, rng)
+            xt = T.leaf(x)
+            out = T.dropout(xt, 1.0, train, rng)
+            assert out is xt
             assert np.array_equal(out.data, x)
 
     def test_infer_mode_is_identity(self, rng):
         x = rng.standard_normal((5, 5))
-        out = T.dropout(T.leaf(x), 0.3, False)
+        xt = T.leaf(x)
+        out = T.dropout(xt, 0.3, False)
+        assert out is xt
         assert np.array_equal(out.data, x)
 
     def test_survivor_statistics(self):
