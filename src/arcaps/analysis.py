@@ -147,8 +147,10 @@ def random_baseline_fitted(dim=32, vectors=5, trials=1000, seed=0):
 
 
 def output_capsules(model: ArCapsNet, images):
-    """Inference-mode output capsules as a raw (B, D, N) array."""
-    return model.capsule_forward(np.asarray(images), train=False).data
+    """Inference-mode output capsules as a raw (B, D, N) array, built
+    without a graph."""
+    with T.no_grad():
+        return model.capsule_forward(np.asarray(images), train=False).data
 
 
 def difference_vectors(model: ArCapsNet, image, family, label=None):
@@ -306,24 +308,24 @@ def perturb_and_decode(model: ArCapsNet, image, dimension, label=None) -> Pertur
     """Decode the class capsule with one coordinate swept over 11 offsets.
 
     The zero offset reproduces the unperturbed reconstruction bitwise
-    (every tile runs the same single-image decode path).
+    (every tile runs the same single-image decode path). Builds no graph.
     """
     d_out = model.config.out_dim
     if not 0 <= dimension < d_out:
         raise InputDataError(
             f"dimension {dimension} out of range [0, {d_out})")
-    image = np.asarray(image)
-    caps = model.capsule_forward(image[None], train=False).data
+    caps = output_capsules(model, np.asarray(image)[None])
     if label is None:
         label = int(np.argmax(np.linalg.norm(caps[0], axis=0)))
     labels = np.array([label])
     offsets = perturbation_offsets(d_out)
     recons = []
-    for offset in offsets:
-        perturbed = caps.copy()
-        perturbed[0, dimension, label] += offset
-        recon = model.decode(T.leaf(perturbed.astype(model.dtype)), labels)
-        recons.append(recon.data[0])
+    with T.no_grad():
+        for offset in offsets:
+            perturbed = caps.copy()
+            perturbed[0, dimension, label] += offset
+            recon = model.decode(T.leaf(perturbed.astype(model.dtype)), labels)
+            recons.append(recon.data[0])
     return PerturbSweep(class_id=label, dimension=dimension,
                         offsets=offsets, reconstructions=np.stack(recons))
 

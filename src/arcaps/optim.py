@@ -50,7 +50,10 @@ class ParameterStore:
         return {n: t.data for n, t in self._params.items()}
 
     def load_state(self, arrays):
-        """Overwrite parameter values from a name -> array mapping."""
+        """Overwrite parameter values from a name -> array mapping.
+
+        An array already of the parameter's dtype is taken as is, not copied.
+        """
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
@@ -63,7 +66,7 @@ class ParameterStore:
                 raise ConfigurationError(
                     f"parameter {n!r} shape {src.shape} != expected {t.data.shape}"
                 )
-            t.data = src.astype(t.data.dtype)
+            t.data = np.asarray(src, dtype=t.data.dtype)
 
 
 class RmspropState:

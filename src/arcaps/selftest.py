@@ -114,13 +114,16 @@ def _marker(shape):
     return rng.standard_normal(shape)
 
 
-def _tiny_model_check():
+def _tiny_model():
     cfg = ModelConfig(input_width=6, input_height=6, stem_width=2, primary_dim=2,
                       primary_channels=2,
                       conv_caps=(ConvCapsSpec(dim=2, channels=2, stride=2),),
                       out_dim=3, classes=2, decoder_widths=(4, 4))
-    net = ArCapsNet(cfg, seed=3, dtype=np.float64)
-    images = _rng(7).random((2, 6, 6, 1))
+    return ArCapsNet(cfg, seed=3, dtype=np.float64), _rng(7).random((2, 6, 6, 1))
+
+
+def _tiny_model_check():
+    net, images = _tiny_model()
     labels = np.array([0, 1])
 
     def loss_value():
@@ -146,6 +149,21 @@ def _tiny_model_check():
     if worst > 1e-4:
         raise ComputationError(f"tiny-model gradient check failed: {worst:.2e}")
     return worst
+
+
+def _no_grad_check():
+    """The tiny model's forward under no_grad equals the graph-building
+    forward bitwise, and its outputs keep no parents."""
+    net, images = _tiny_model()
+    with_graph = net.forward(images)
+    with T.no_grad():
+        without = net.forward(images)
+    for name in ("scores", "capsules", "reconstruction"):
+        built, bare = getattr(with_graph, name), getattr(without, name)
+        if not np.array_equal(built.data, bare.data):
+            raise ComputationError(f"no_grad forward changed the {name}")
+        if bare.parents or not built.parents:
+            raise ComputationError(f"no_grad did not drop the graph of the {name}")
 
 
 def _conv_oracle_check():
@@ -271,6 +289,7 @@ def run(report=print):
                       ("attention routing vs loop oracle", _routing_oracle_check),
                       ("scalar reference values", _scalar_examples),
                       ("align vector vs Jacobi oracle", _align_vector_check),
+                      ("no_grad forward equals graph forward", _no_grad_check),
                       ("tiny-model end-to-end gradients", _tiny_model_check)):
         try:
             result = fn()

@@ -7,6 +7,10 @@ Graphs are built eagerly by the functions in this module and torn down
 with the batch; parameters are leaf tensors whose ``data`` the optimizer
 updates in place between batches.
 
+Inside ``with no_grad():`` ops build no graph: a node made from parents
+keeps neither them nor a backward rule, so inference frees each
+intermediate array as soon as the next op has consumed it.
+
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
 finite-difference gradient checks run (32-bit noise would drown the
@@ -25,6 +29,30 @@ from .errors import ComputationError, ConfigurationError
 
 MAX_RANK = 5
 
+# depth of open no_grad blocks; graphs are built only at depth 0
+_no_grad_depth = 0
+
+
+class no_grad:
+    """Context manager under which ops build no graph.
+
+    A node built from parents inside the block keeps no parents and no
+    backward rule and has ``needs_grad=False``. Leaves keep the
+    ``needs_grad`` they are given, so a parameter made inside stays
+    trainable. Blocks nest, and leaving one (by an exception too) restores
+    the mode that was in force when it was entered.
+    """
+
+    def __enter__(self):
+        global _no_grad_depth
+        _no_grad_depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        global _no_grad_depth
+        _no_grad_depth -= 1
+        return False
+
 
 class Tensor:
     """A value in the autodiff graph."""
@@ -39,6 +67,8 @@ class Tensor:
             )
         if data.ndim and min(data.shape) < 1:
             raise ConfigurationError(f"zero-sized extent in shape {data.shape}")
+        if _no_grad_depth and parents:
+            parents, backward_rule, needs_grad = (), None, False
         self.data = data
         self._grad = None
         self.parents = tuple(parents)
@@ -64,8 +94,11 @@ class Tensor:
 
     def accumulate_grad(self, value):
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += value
+            # a copy: rules pass their own gradient (or a view of it) on
+            self._grad = np.empty_like(self.data)
+            self._grad[...] = value
+        else:
+            self._grad += value
 
     def zero_grad(self):
         self._grad = None
@@ -117,12 +150,18 @@ def topo_order(root):
 def backward(loss):
     """Populate ``grad`` on every node reachable from ``loss``.
 
-    ``loss`` must hold a single scalar. Gradients accumulate across calls;
-    zero them (or rebuild the graph) before reusing nodes.
+    ``loss`` must hold a single scalar that depends on a node needing a
+    gradient (so not one built under ``no_grad``). Gradients accumulate
+    across calls; zero them (or rebuild the graph) before reusing nodes.
     """
     if loss.data.size != 1:
         raise ConfigurationError(
             f"backward() needs a scalar loss, got shape {loss.data.shape}"
+        )
+    if not loss.needs_grad:
+        raise ConfigurationError(
+            "backward() needs a loss with needs_grad=True; this one depends on "
+            "no trainable leaf or was built under no_grad"
         )
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(topo_order(loss)):
@@ -559,19 +598,22 @@ def batchnorm(x, gamma, beta, running_mean, running_var, train, eps=1e-5):
         out = Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), rule)
         return out, mu, var
 
+    # one per-channel scale and shift: out = x * s + t
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean) * inv_std
+    s = gamma.data * inv_std
+    t = beta.data - running_mean * s
 
     def rule(node):
         g = node.grad
         if gamma.needs_grad:
+            xhat = (x.data - running_mean) * inv_std
             gamma.accumulate_grad((g * xhat).sum(axis=axes))
         if beta.needs_grad:
             beta.accumulate_grad(g.sum(axis=axes))
         if x.needs_grad:
-            x.accumulate_grad(g * (gamma.data * inv_std))
+            x.accumulate_grad(g * s)
 
-    out = Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), rule)
+    out = Tensor(x.data * s + t, (x, gamma, beta), rule)
     return out, None, None
 
 

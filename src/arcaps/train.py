@@ -118,19 +118,24 @@ def _train_one_batch(model, images, labels, rng, batch_index):
 
 
 def evaluate(model: ArCapsNet, dataset: Dataset, batch_size=100) -> EvalResult:
-    """Deterministic inference-mode evaluation with a confusion matrix."""
+    """Deterministic inference-mode evaluation with a confusion matrix.
+
+    Builds no graph (``tensor.no_grad``), so each batch holds only the
+    arrays its forward is using.
+    """
     if len(dataset) == 0:
         raise InputDataError("cannot evaluate on an empty dataset")
     classes = model.config.classes
     confusion = np.zeros((classes, classes), dtype=np.int64)
     sums = np.zeros(3)
     correct = 0
-    for images, labels in batches(dataset, batch_size):
-        total, margin, recon, result = model.loss(images, labels, train=False)
-        n = images.shape[0]
-        sums += np.array([total.item(), margin.item(), recon.item()]) * n
-        correct += int((result.predictions == labels).sum())
-        np.add.at(confusion, (labels, result.predictions), 1)
+    with T.no_grad():
+        for images, labels in batches(dataset, batch_size):
+            total, margin, recon, result = model.loss(images, labels, train=False)
+            n = images.shape[0]
+            sums += np.array([total.item(), margin.item(), recon.item()]) * n
+            correct += int((result.predictions == labels).sum())
+            np.add.at(confusion, (labels, result.predictions), 1)
     count = len(dataset)
     return EvalResult(
         accuracy=correct / count,

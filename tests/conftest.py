@@ -157,3 +157,17 @@ def tiny_run_config(tiny_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def node_log(monkeypatch):
+    """Every Tensor built while the fixture is active, in build order."""
+    built = []
+    init = T.Tensor.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        built.append(node)
+
+    monkeypatch.setattr(T.Tensor, "__init__", recording_init)
+    return built

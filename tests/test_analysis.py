@@ -1,9 +1,11 @@
 """Align-vector machinery, random baselines, perturbation sweeps, histograms."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from arcaps import reference
+from arcaps import reference, tensor as T
 from arcaps.analysis import (AlignmentReport, ImageAlignment, align_vector,
                              alignment_experiment, cosine_histogram,
                              difference_vectors, family_transforms,
@@ -293,3 +295,32 @@ class TestPerturbation:
                                    label=0)
         strip = sweep_strip(sweep, 28, 28, 1)
         assert strip.shape == (28, 11 * 28)
+
+
+class TestWithoutGraph:
+    def test_output_capsules_match_graph_forward(self, untrained_model,
+                                                 digits_test, node_log,
+                                                 monkeypatch):
+        images = digits_test.images[:4]
+        without = output_capsules(untrained_model, images)
+        assert node_log and all(n.parents == () for n in node_log)
+        node_log.clear()
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        with_graph = output_capsules(untrained_model, images)
+        assert any(n.parents for n in node_log)
+        assert without.dtype == np.float32
+        assert np.array_equal(without, with_graph)
+
+    def test_perturb_and_decode_matches_graph_build(self, untrained_model,
+                                                    digits_test, node_log,
+                                                    monkeypatch):
+        img = digits_test.images[5]
+        without = perturb_and_decode(untrained_model, img, 1)
+        assert node_log and all(n.parents == () for n in node_log)
+        node_log.clear()
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        with_graph = perturb_and_decode(untrained_model, img, 1)
+        assert any(n.parents for n in node_log)
+        assert without.class_id == with_graph.class_id
+        assert np.array_equal(without.offsets, with_graph.offsets)
+        assert np.array_equal(without.reconstructions, with_graph.reconstructions)

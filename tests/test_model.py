@@ -333,6 +333,17 @@ def test_float32_train_step_graph_is_float32(rng, tiny_config):
     assert not wrong, f"{len(wrong)} of {len(nodes)} nodes are not float32: {wrong[:3]}"
 
 
+def test_float32_forward_without_graph_is_float32(rng, tiny_config, node_log):
+    net = ArCapsNet(tiny_config, seed=0)
+    images = rng.random((3, 8, 8, 1), dtype=np.float32)
+    node_log.clear()
+    with T.no_grad():
+        net.loss(images, np.array([0, 1, 2]))
+    wrong = [n for n in node_log if n.dtype != np.float32]
+    assert node_log and not wrong, f"{len(wrong)} of {len(node_log)} nodes are not float32"
+    assert all(n.parents == () and n.backward_rule is None for n in node_log)
+
+
 def test_total_loss_nonnegative(rng, tiny_config):
     net = ArCapsNet(tiny_config, seed=0)
     images = rng.random((3, 8, 8, 1), dtype=np.float32)

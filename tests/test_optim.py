@@ -81,3 +81,14 @@ class TestParameterStore:
             store.load_state({"a": np.zeros((3, 2))})
         store.load_state({"a": np.ones((2, 2))})
         assert np.array_equal(store["a"].data, np.ones((2, 2)))
+
+    def test_load_state_takes_an_array_of_the_right_dtype_as_is(self):
+        store = ParameterStore()
+        store.add("a", np.zeros((2, 2), dtype=np.float32))
+        src = np.ones((2, 2), dtype=np.float32)
+        store.load_state({"a": src})
+        assert np.shares_memory(store["a"].data, src)
+        wide = np.full((2, 2), 2.0)
+        store.load_state({"a": wide})
+        assert store["a"].dtype == np.float32
+        assert np.array_equal(store["a"].data, wide)

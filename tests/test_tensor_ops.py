@@ -260,3 +260,97 @@ class TestReshapeStackSlice:
         T.backward(T.sum_all(T.square(out)))
         assert p.grad.shape == (2, 6)
         assert np.allclose(p.grad, 2 * p.data, atol=1e-7)
+
+
+class TestAccumulateGrad:
+    def test_add_parents_get_their_own_gradients(self, rng):
+        a = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
+        b = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
+        out = T.add(a, b)
+        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 4))))))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad)
+        assert not np.shares_memory(b.grad, out.grad)
+        assert np.array_equal(a.grad, out.grad) and np.array_equal(b.grad, out.grad)
+
+    def test_add_rowvec_first_gradient_is_a_copy(self, rng):
+        x = T.leaf(rng.standard_normal((3, 2)), needs_grad=True)
+        b = T.leaf(rng.standard_normal(2), needs_grad=True)
+        out = T.add_rowvec(x, b)
+        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 2))))))
+        assert not np.shares_memory(x.grad, out.grad)
+        assert np.array_equal(x.grad, out.grad)
+
+    def test_reshape_first_gradient_is_a_copy(self, rng):
+        p = T.leaf(rng.standard_normal((2, 6)), needs_grad=True)
+        out = T.reshape(p, (3, 4))
+        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 4))))))
+        assert not np.shares_memory(p.grad, out.grad)
+        assert np.array_equal(p.grad, out.grad.reshape(2, 6))
+
+    def test_first_gradient_cast_to_node_dtype(self):
+        p = T.leaf(np.zeros(3, dtype=np.float32), needs_grad=True)
+        value = np.full(3, 1.0 / 3.0)
+        p.accumulate_grad(value)
+        assert p.grad.dtype == np.float32
+        assert np.array_equal(p.grad, value.astype(np.float32))
+        p.accumulate_grad(value)
+        assert p.grad.dtype == np.float32
+        value[:] = 0.0  # the stored gradient does not alias the argument
+        assert np.all(p.grad > 0)
+
+
+class TestNoGrad:
+    def test_nodes_keep_no_parents_and_no_rule(self, rng):
+        p = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
+        with T.no_grad():
+            hidden = T.tanh(T.mul(p, p))
+            out = T.sum_all(hidden)
+        for node in (hidden, out):
+            assert node.parents == ()
+            assert node.backward_rule is None
+            assert not node.needs_grad
+        assert np.array_equal(out.data, np.tanh(p.data * p.data).sum().reshape(()))
+
+    def test_leaves_keep_needs_grad(self, rng):
+        with T.no_grad():
+            p = T.leaf(rng.standard_normal(3), needs_grad=True)
+            c = T.leaf(rng.standard_normal(3))
+        assert p.needs_grad and not c.needs_grad
+        T.backward(T.sum_all(T.square(p)))
+        assert np.allclose(p.grad, 2 * p.data, atol=1e-12)
+
+    def test_mode_restored_after_exception(self, rng):
+        p = T.leaf(rng.standard_normal(3), needs_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        out = T.tanh(p)
+        assert out.parents == (p,) and out.needs_grad
+
+    def test_nesting_restores_the_outer_mode(self, rng):
+        p = T.leaf(rng.standard_normal(3), needs_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert T.tanh(p).parents == ()
+            assert T.tanh(p).parents == ()
+        assert T.tanh(p).parents == (p,)
+        mode = T.no_grad()
+        with mode:
+            with mode:
+                assert T.tanh(p).parents == ()
+            assert T.tanh(p).parents == ()
+        assert T.tanh(p).parents == (p,)
+
+    def test_backward_rejects_a_loss_built_without_graph(self, rng):
+        p = T.leaf(rng.standard_normal(3), needs_grad=True)
+        with T.no_grad():
+            loss = T.sum_all(T.square(p))
+        with pytest.raises(ConfigurationError, match="needs_grad"):
+            T.backward(loss)
+        assert p._grad is None
+
+    def test_backward_rejects_a_loss_of_constants(self, rng):
+        loss = T.sum_all(T.leaf(rng.standard_normal(3)))
+        with pytest.raises(ConfigurationError, match="needs_grad"):
+            T.backward(loss)

@@ -1,11 +1,12 @@
 """Training loop behavior: progress, checkpointing, determinism, evaluation."""
 
+import contextlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcaps import checkpoint
+from arcaps import checkpoint, tensor as T
 from arcaps.config import RunConfig
 from arcaps.data import Dataset, split_train_val
 from arcaps.errors import ComputationError
@@ -168,6 +169,31 @@ class TestEvaluate:
         assert a.accuracy == b.accuracy
         assert a.total_loss == b.total_loss
         assert np.array_equal(a.confusion, b.confusion)
+
+    def test_evaluate_builds_no_graph_and_matches_graph_evaluation(self, monkeypatch):
+        cfg = micro_run_config("unused")
+        model = ArCapsNet(cfg.model_config(), seed=3)
+        ds = micro_dataset(96, seed=7)
+        outputs = []
+        loss = model.loss
+
+        def recording_loss(*args, **kwargs):
+            out = loss(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        model.loss = recording_loss
+        without = evaluate(model, ds, batch_size=40)
+        assert len(outputs) == 3
+        assert all(total.parents == () and result.capsules.parents == ()
+                   for total, _, _, result in outputs)
+        outputs.clear()
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        with_graph = evaluate(model, ds, batch_size=40)
+        assert all(total.parents for total, _, _, _ in outputs)
+        for name in ("accuracy", "total_loss", "margin_loss", "recon_loss"):
+            assert getattr(without, name) == getattr(with_graph, name)
+        assert np.array_equal(without.confusion, with_graph.confusion)
 
     def test_best_val_error_reproduced_from_checkpoint(self, tmp_path):
         cfg = micro_run_config(tmp_path, epochs=2)
