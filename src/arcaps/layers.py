@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ComputationError, ConfigurationError
 
 # decay of the stem's batchnorm running statistics per train-mode forward
 BN_MOMENTUM = 0.9
@@ -46,13 +46,21 @@ def uniform_init(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _weight(rng, shape, fan_in, fan_out, dtype):
+    """A uniform_init draw, or uninitialised storage when ``rng`` is None
+    (a model built to have every value loaded from a checkpoint)."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
+    return uniform_init(rng, shape, fan_in, fan_out, dtype)
+
+
 class ConvBlock:
     """3x3 stride-1 same-padding convolution + batchnorm + relu (stem unit)."""
 
     def __init__(self, store, name, cin, cout, rng, dtype=np.float32):
         self.kernel = store.add(
             name + ".kernel",
-            uniform_init(rng, (3, 3, cin, cout), 9 * cin, 9 * cout, dtype),
+            _weight(rng, (3, 3, cin, cout), 9 * cin, 9 * cout, dtype),
         )
         self.bias = store.add(name + ".bias", np.zeros(cout, dtype=dtype))
         self.gamma = store.add(name + ".bn.gamma", np.ones(cout, dtype=dtype))
@@ -93,7 +101,7 @@ class CapsuleActivation:
     def __init__(self, store, name, channels, dim_in, dim_out, rng, dtype=np.float32):
         self.weight = store.add(
             name + ".weight",
-            uniform_init(rng, (channels, dim_in, dim_out), dim_in, dim_out, dtype),
+            _weight(rng, (channels, dim_in, dim_out), dim_in, dim_out, dtype),
         )
         self.bias = store.add(name + ".bias", np.zeros((channels, dim_out), dtype=dtype))
 
@@ -115,7 +123,7 @@ class PrimaryCaps:
         self.channels = channels
         self.kernel = store.add(
             name + ".kernel",
-            uniform_init(rng, (3, 3, cin, dim * channels), 9 * cin, 9 * dim, dtype),
+            _weight(rng, (3, 3, cin, dim * channels), 9 * cin, 9 * dim, dtype),
         )
         self.bias = store.add(name + ".bias", np.zeros(dim * channels, dtype=dtype))
         self.activation = CapsuleActivation(
@@ -147,6 +155,7 @@ class ConvCaps:
     def __init__(self, store, name, in_dim, in_channels, dim, channels, rng,
                  stride=1, residual=False, ksize=(3, 3), padding="same",
                  keep_prob=0.5, dtype=np.float32):
+        self.name = name
         self.stride = stride
         self.residual = residual
         self.ksize = ksize
@@ -167,13 +176,14 @@ class ConvCaps:
         # filled one output channel at a time, in the RNG order of separate
         # per-channel kernels, without a second full-size copy
         transform = np.empty((in_channels, patch, channels * dim), dtype=dtype)
-        for n in range(channels):
-            transform[:, :, n * dim:(n + 1) * dim] = uniform_init(
-                rng, (in_channels, patch, dim), patch, kw * kh * dim, dtype)
+        if rng is not None:
+            for n in range(channels):
+                transform[:, :, n * dim:(n + 1) * dim] = uniform_init(
+                    rng, (in_channels, patch, dim), patch, kw * kh * dim, dtype)
         self.transform = store.add(name + ".transform", transform)
         self.attention = store.add(
             name + ".attention",
-            uniform_init(rng, (channels, dim, in_channels), dim, 1, dtype),
+            _weight(rng, (channels, dim, in_channels), dim, 1, dtype),
         )
         self.activation = CapsuleActivation(
             store, name + ".activation", channels, dim, dim, rng, dtype
@@ -182,7 +192,10 @@ class ConvCaps:
     def forward(self, caps, train, rng=None):
         dropped = T.dropout(caps, self.keep_prob, train, rng)
         cols = T.im2col_capsules(dropped, self.ksize, self.stride, self.padding)
-        pre = T.transform_route(cols, self.transform, self.attention)
+        try:
+            pre = T.transform_route(cols, self.transform, self.attention)
+        except ComputationError as exc:
+            raise ComputationError(f"{self.name}: {exc}") from exc
         if self.residual:
             pre = T.add(pre, caps)
         return self.activation.forward(pre)
@@ -220,7 +233,7 @@ class Decoder:
         for i in range(len(dims) - 1):
             self.weights.append(store.add(
                 f"{name}.dense{i}.weight",
-                uniform_init(rng, (dims[i], dims[i + 1]), dims[i], dims[i + 1], dtype),
+                _weight(rng, (dims[i], dims[i + 1]), dims[i], dims[i + 1], dtype),
             ))
             self.biases.append(store.add(
                 f"{name}.dense{i}.bias", np.zeros(dims[i + 1], dtype=dtype)

@@ -115,12 +115,14 @@ class ForwardResult:
 class ArCapsNet:
     """The assembled network: stem, capsule stack, decoder."""
 
-    def __init__(self, config: ModelConfig, seed=0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed=0, dtype=np.float32, *, init=True):
+        """``init=False`` draws nothing: the weights are left uninitialised
+        for a caller that loads every parameter (``train.load_model``)."""
         config.validate()
         self.config = config
         self.dtype = dtype
         self.store = ParameterStore()
-        rng = np.random.default_rng(np.random.SeedSequence([0x_A2C, seed]))
+        rng = np.random.default_rng(np.random.SeedSequence([0x_A2C, seed])) if init else None
 
         c = config.input_channels
         self.stem = []

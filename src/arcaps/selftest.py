@@ -168,12 +168,17 @@ def _no_grad_check():
 
 def _conv_oracle_check():
     rng = _rng(21)
+    # the last case spans several blocks, the last one ragged: each image's
+    # 5x5 x 3x3 patches of float64 take just under half the block budget
+    wide = T.CONV_BLOCK_BYTES // (2 * 25 * 9 * 8)
     worst = 0.0
-    for k, stride, padding in ((3, 1, "same"), (3, 2, "same"), (3, 1, "valid"),
-                               (1, 1, "same"), (5, 1, "valid")):
-        x = rng.standard_normal((1, 5, 5, 2))
-        kern = rng.standard_normal((k, k, 2, 3))
-        bias = rng.standard_normal(3)
+    for k, stride, padding, shape, cout in (
+            (3, 1, "same", (1, 5, 5, 2), 3), (3, 2, "same", (1, 5, 5, 2), 3),
+            (3, 1, "valid", (1, 5, 5, 2), 3), (1, 1, "same", (1, 5, 5, 2), 3),
+            (5, 1, "valid", (1, 5, 5, 2), 3), (3, 1, "same", (3, 5, 5, wide), 1)):
+        x = rng.standard_normal(shape)
+        kern = rng.standard_normal((k, k, shape[3], cout))
+        bias = rng.standard_normal(cout)
         fast = T.conv2d(T.leaf(x), T.leaf(kern), T.leaf(bias), stride, padding).data
         slow = reference.conv2d_loops(x, kern, bias, stride, padding)
         worst = max(worst, float(np.max(np.abs(fast - slow))))

@@ -29,6 +29,10 @@ from .errors import ComputationError, ConfigurationError
 
 MAX_RANK = 5
 
+# conv2d walks the batch in blocks of whole images whose patch matrix fits
+# in this many bytes (one image per block when a single image exceeds it)
+CONV_BLOCK_BYTES = 2 << 20
+
 # depth of open no_grad blocks; graphs are built only at depth 0
 _no_grad_depth = 0
 
@@ -341,12 +345,12 @@ def _conv_geometry(size, k, stride, padding):
     return out, 0, 0
 
 
-def _im2col(x, kw, kh, stride, padding):
-    """Patch matrix of a (B, W, H, *tail) array.
+def _patch_view(x, kw, kh, stride, padding):
+    """Patch view of a (B, W, H, *tail) array, copying nothing but the padding.
 
-    Returns (cols, geometry) where cols has shape (B, Wo, Ho, kw, kh, *tail)
-    as a contiguous copy and geometry carries the padding bookkeeping that
-    _col2im needs to reverse the layout.
+    Returns (view, geometry) where view has shape (B, Wo, Ho, kw, kh, *tail)
+    over the zero-padded input and geometry carries the padding bookkeeping
+    that _col2im needs to reverse the layout.
     """
     b, w, h = x.shape[:3]
     tail = x.shape[3:]
@@ -362,26 +366,46 @@ def _im2col(x, kw, kh, stride, padding):
         xp,
         shape=(b, wo, ho, kw, kh) + tail,
         strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2]) + s[3:],
+        writeable=False,
     )
-    geom = (xp.shape, (pw0, ph0), (w, h), stride, (kw, kh))
+    geom = (xp.shape, (pw0, ph0), (w, h), stride)
+    return view, geom
+
+
+def _im2col(x, kw, kh, stride, padding):
+    """Patch matrix of a (B, W, H, *tail) array: _patch_view as a contiguous copy."""
+    view, geom = _patch_view(x, kw, kh, stride, padding)
     return np.ascontiguousarray(view), geom
 
 
-def _col2im(gcols, geom):
-    """Scatter-add patch gradients back to the (unpadded) input layout."""
-    padded_shape, (pw0, ph0), (w, h), stride, (kw, kh) = geom
-    wo, ho = gcols.shape[1], gcols.shape[2]
-    gx = np.zeros(padded_shape, dtype=gcols.dtype)
+def _col2im_add(gx, gcols, stride):
+    """Scatter-add (B, Wo, Ho, kw, kh, *tail) patch gradients into the padded
+    (B, Wp, Hp, *tail) input gradient ``gx``."""
+    wo, ho, kw, kh = gcols.shape[1:5]
     for i in range(kw):
         wstop = i + stride * (wo - 1) + 1
         for j in range(kh):
             hstop = j + stride * (ho - 1) + 1
             gx[:, i:wstop:stride, j:hstop:stride] += gcols[:, :, :, i, j]
+
+
+def _col2im(gcols, geom):
+    """Scatter-add patch gradients back to the (unpadded) input layout."""
+    padded_shape, (pw0, ph0), (w, h), stride = geom
+    gx = np.zeros(padded_shape, dtype=gcols.dtype)
+    _col2im_add(gx, gcols, stride)
     return gx[:, pw0 : pw0 + w, ph0 : ph0 + h]
 
 
 def conv2d(x, kernel, bias=None, stride=1, padding="same"):
-    """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel."""
+    """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel.
+
+    The batch is walked in blocks of whole images: a block's patches are
+    copied into one reused buffer of at most CONV_BLOCK_BYTES and multiplied
+    straight into the block's rows of the output, so the full
+    (B*Wo*Ho, kw*kh*Cin) patch matrix never exists. The backward rule holds
+    no patches; it extracts them again block by block.
+    """
     if padding not in _PADDINGS:
         raise ConfigurationError(f"unknown padding {padding!r}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -397,27 +421,52 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
     if bias is not None and bias.shape != (cout,):
         raise ConfigurationError(f"conv2d() bias shape {bias.shape} != ({cout},)")
 
-    cols, geom = _im2col(x.data, kw, kh, stride, padding)
-    b, wo, ho = cols.shape[:3]
-    patch = kw * kh * cin
-    cols_mat = cols.reshape(b * wo * ho, patch)
+    view, geom = _patch_view(x.data, kw, kh, stride, padding)
+    b, wo, ho = view.shape[:3]
+    rows, patch = wo * ho, kw * kh * cin
+    step = min(b, max(1, CONV_BLOCK_BYTES // view[0].nbytes))
+    blocks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
+    block_shape = (step,) + view.shape[1:]
     kmat = kernel.data.reshape(patch, cout)
-    out = cols_mat @ kmat
-    if bias is not None:
-        out += bias.data
+    buf = np.empty(block_shape, dtype=view.dtype)
+    out = np.empty((b * rows, cout), dtype=np.result_type(view, kmat))
+    for lo, hi in blocks:
+        cols = buf[: hi - lo]
+        np.copyto(cols, view[lo:hi])
+        blk = out[lo * rows : hi * rows]
+        np.matmul(cols.reshape(-1, patch), kmat, out=blk)
+        if bias is not None:
+            blk += bias.data
     out = out.reshape(b, wo, ho, cout)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def rule(node):
-        g = node.grad.reshape(b * wo * ho, cout)
-        if kernel.needs_grad:
-            kernel.accumulate_grad((cols_mat.T @ g).reshape(kernel.shape))
+        g = node.grad.reshape(b * rows, cout)
         if bias is not None and bias.needs_grad:
             bias.accumulate_grad(g.sum(axis=0))
+        if kernel.needs_grad:
+            patches = _patch_view(x.data, kw, kh, stride, padding)[0]
+            cols_buf = np.empty(block_shape, dtype=patches.dtype)
+            gk = np.zeros((patch, cout), dtype=np.result_type(patches, g))
         if x.needs_grad:
-            gcols = (g @ kmat.T).reshape(b, wo, ho, kw, kh, cin)
-            x.accumulate_grad(_col2im(gcols, geom))
+            gcols_buf = np.empty(block_shape, dtype=np.result_type(g, kmat))
+            gxp = np.zeros(geom[0], dtype=gcols_buf.dtype)
+        for lo, hi in blocks:
+            g_blk = g[lo * rows : hi * rows]
+            if kernel.needs_grad:
+                cols = cols_buf[: hi - lo]
+                np.copyto(cols, patches[lo:hi])
+                gk += cols.reshape(-1, patch).T @ g_blk
+            if x.needs_grad:
+                gcols = gcols_buf[: hi - lo]
+                np.matmul(g_blk, kmat.T, out=gcols.reshape(-1, patch))
+                _col2im_add(gxp[lo:hi], gcols, stride)
+        if kernel.needs_grad:
+            kernel.accumulate_grad(gk.reshape(kernel.shape))
+        if x.needs_grad:
+            (pw0, ph0), (w, h) = geom[1:3]
+            x.accumulate_grad(gxp[:, pw0 : pw0 + w, ph0 : ph0 + h])
 
     return Tensor(out, parents, rule)
 

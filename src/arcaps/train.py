@@ -89,7 +89,7 @@ def load_model(path):
         else:
             cfg_lines.append(line)
     run_config = cfgmod.parse_lines(cfg_lines, source=str(path))
-    model = ArCapsNet(run_config.model_config(), seed=run_config.seed)
+    model = ArCapsNet(run_config.model_config(), init=False)
     model.store.load_state(arrays)
     return model, run_config, state_lines
 

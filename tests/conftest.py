@@ -57,6 +57,15 @@ def transform_stacks(layer, u):
     return [stacked[..., n, :] for n in range(layer.channels)]
 
 
+def conv_blocks_of_two(monkeypatch, x_shape, kernel_shape, stride, padding, itemsize=8):
+    """Shrink conv2d's block budget to the patches of two images of ``x_shape``,
+    so a batch of more than two spans several blocks."""
+    kw, kh, cin, _ = kernel_shape
+    wo = T._conv_geometry(x_shape[1], kw, stride, padding)[0]
+    ho = T._conv_geometry(x_shape[2], kh, stride, padding)[0]
+    monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 2 * wo * ho * kw * kh * cin * itemsize)
+
+
 def routing_logits(x, ref):
     """The routing logits <x[..., :, m], ref[:, m]> with which transform_route
     weighs (B, W, H, D, M) predictions against a (D, M) reference, read back

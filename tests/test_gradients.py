@@ -12,6 +12,7 @@ import pytest
 from arcaps import selftest, tensor as T
 from arcaps.gradcheck import check_gradients
 from arcaps.selftest import softmax_probe
+from conftest import conv_blocks_of_two
 
 SEEDS = range(5)
 
@@ -23,16 +24,24 @@ def _frozen_weight(rng, forward, arrays):
     return lambda ts: T.sum_all(T.mul(forward(ts), marker))
 
 
+CONV_GRADIENT_CASES = [(1, "same", 2), (2, "same", 2), (1, "valid", 2), (2, "valid", 2),
+                       # five images in blocks of two, the last one ragged
+                       (1, "same", 5), (2, "same", 5), (1, "valid", 5), (2, "valid", 5)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-def test_conv2d_gradients(seed, stride, padding):
+@pytest.mark.parametrize("stride,padding,batch", CONV_GRADIENT_CASES, ids=[
+    f"{stride}-{padding}" + (f"-b{batch}" if batch > 2 else "")
+    for stride, padding, batch in CONV_GRADIENT_CASES])
+def test_conv2d_gradients(monkeypatch, seed, stride, padding, batch):
     rng = np.random.default_rng(seed)
     w = int(rng.integers(4, 7))
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    x = rng.standard_normal((2, w, w, cin))
+    x = rng.standard_normal((batch, w, w, cin))
     k = rng.standard_normal((3, 3, cin, cout)) * 0.5
     b = rng.standard_normal(cout) * 0.1
     arrays = [x, k, b]
+    conv_blocks_of_two(monkeypatch, x.shape, k.shape, stride, padding)
     check_gradients(
         _frozen_weight(rng, lambda ts: T.conv2d(ts[0], ts[1], ts[2], stride, padding), arrays), arrays)
 

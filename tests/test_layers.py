@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from arcaps import reference, tensor as T
-from arcaps.errors import ConfigurationError
+from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.layers import (CapsuleActivation, ConvCaps, FullyConvCaps,
                            PrimaryCaps, squash, squash_exp, uniform_init)
+from arcaps.model import ArCapsNet
 from arcaps.optim import ParameterStore
 from arcaps.selftest import routing_weights
 
@@ -316,6 +317,15 @@ class TestConvCaps:
         assert np.array_equal(a, b)
         c = layer.forward(T.leaf(u), train=True, rng=np.random.default_rng(0)).data
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("layer", ["convcaps0", "fullycaps"])
+    def test_routing_failure_names_the_layer(self, rng, tiny_config, layer):
+        net = ArCapsNet(tiny_config, seed=0)
+        net.store[layer + ".attention"].data[0, 0, 0] = np.nan
+        with pytest.raises(ComputationError,
+                           match=f"^{layer}: transform_route\\(\\) produced non-finite"), \
+                np.errstate(invalid="ignore"):
+            net.forward(rng.random((2, 8, 8, 1), dtype=np.float32))
 
 
 class TestFullyConvCaps:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcaps import checkpoint, tensor as T
+from arcaps import checkpoint, layers, tensor as T
 from arcaps.errors import ConfigurationError, InputDataError
 from arcaps.model import (ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters,
                           margin_loss, normalized_length, reconstruction_loss,
@@ -228,12 +228,31 @@ class TestCheckpoint:
         first = Path(path).read_bytes()
 
         loaded, _, _ = load_model(path)
+        assert loaded.store.names() == net.store.names()
         for name, t in net.store.items():
-            assert np.array_equal(t.data, loaded.store[name].data), name
+            got = loaded.store[name]
+            assert got.dtype == t.dtype and np.array_equal(t.data, got.data), name
+            assert got.needs_grad == t.needs_grad, name
 
         path2 = tmp_path / "again.ckpt"
         save_model(path2, loaded, run_cfg)
         assert first == Path(path2).read_bytes()
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch, tiny_config,
+                                       tiny_run_config):
+        net = ArCapsNet(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, tiny_run_config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random initial weights")
+
+        monkeypatch.setattr(layers, "uniform_init", refuse)
+        with pytest.raises(AssertionError, match="drew random"):
+            ArCapsNet(tiny_config, seed=0)
+        loaded, _, _ = load_model(path)
+        for name, t in net.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
 
     def test_mismatched_config_rejected_at_save(self, tmp_path, tiny_config):
         net = ArCapsNet(tiny_config, seed=0)

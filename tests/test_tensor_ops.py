@@ -1,12 +1,22 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.selftest import routing_weights
-from conftest import routing_logits
+from conftest import conv_blocks_of_two, routing_logits
+
+
+CONV_ORACLE_CASES = [
+    (3, 1, "same", 1), (3, 2, "same", 1), (3, 1, "valid", 1),
+    (1, 1, "same", 1), (5, 1, "valid", 1), (5, 2, "same", 1),
+    # five images in blocks of two: the block loop and a ragged last block
+    (3, 1, "same", 5), (3, 2, "same", 5), (3, 1, "valid", 5), (3, 2, "valid", 5),
+]
 
 
 class TestConv2d:
@@ -24,17 +34,36 @@ class TestConv2d:
         out = T.conv2d(T.leaf(x), T.leaf(k), None, 1, "same")
         assert np.allclose(out.data, x, atol=0)
 
-    @pytest.mark.parametrize("k,stride,padding", [
-        (3, 1, "same"), (3, 2, "same"), (3, 1, "valid"),
-        (1, 1, "same"), (5, 1, "valid"), (5, 2, "same"),
-    ])
-    def test_matches_loop_oracle(self, rng, k, stride, padding):
-        x = rng.standard_normal((1, 5, 5, 2))
+    @pytest.mark.parametrize("k,stride,padding,batch", CONV_ORACLE_CASES, ids=[
+        f"{k}-{stride}-{padding}" + (f"-b{batch}" if batch > 1 else "")
+        for k, stride, padding, batch in CONV_ORACLE_CASES])
+    def test_matches_loop_oracle(self, rng, monkeypatch, k, stride, padding, batch):
+        x = rng.standard_normal((batch, 5, 5, 2))
         kern = rng.standard_normal((k, k, 2, 3))
         bias = rng.standard_normal(3)
+        conv_blocks_of_two(monkeypatch, x.shape, kern.shape, stride, padding)
         fast = T.conv2d(T.leaf(x), T.leaf(kern), T.leaf(bias), stride, padding).data
         slow = reference.conv2d_loops(x, kern, bias, stride, padding)
         assert np.max(np.abs(fast - slow)) < 1e-6
+
+    def test_forward_and_backward_hold_no_patch_matrix(self, rng):
+        # 5x5 taps over 16 channels: one image's patches are 25x its input
+        w, k, cin, cout = 32, 5, 16, 4
+        per_image = w * w * k * k * cin * 4
+        batch = -(-8 * T.CONV_BLOCK_BYTES // per_image) + 1
+        patch_matrix = batch * per_image  # at least 8 block budgets
+        x = T.leaf(rng.standard_normal((batch, w, w, cin)).astype(np.float32), needs_grad=True)
+        kern = T.leaf(rng.standard_normal((k, k, cin, cout)).astype(np.float32), needs_grad=True)
+        bias = T.leaf(np.zeros(cout, dtype=np.float32), needs_grad=True)
+        marker = T.leaf(rng.standard_normal((batch, w, w, cout)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            T.backward(T.sum_all(T.mul(T.conv2d(x, kern, bias, 1, "same"), marker)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and np.any(kern.grad != 0)
+        assert peak < patch_matrix, (peak, patch_matrix)
 
     def test_output_extents(self):
         x = T.leaf(np.zeros((1, 28, 28, 1), dtype=np.float32))
