@@ -3,9 +3,13 @@
 A ``Tensor`` is one node of the computation graph: a value array, a lazily
 allocated gradient array of the same shape, references to the parent nodes
 and a closure that routes the output gradient back to those parents.
-Graphs are built eagerly by the functions in this module and torn down
-with the batch; parameters are leaf tensors whose ``data`` the optimizer
-updates in place between batches.
+Graphs are built eagerly by the functions in this module. ``backward``
+frees each interior node once its rule has run: the node drops its parents
+and the arrays its rule saved, so a node nobody holds goes with its data
+and gradient while backward is still walking. A node the caller holds
+keeps its data and gradient, but a freed graph cannot be walked again.
+Parameters are leaf tensors whose ``data`` the optimizer updates in place
+between batches; their gradients accumulate across graphs until zeroed.
 
 Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
@@ -151,12 +155,24 @@ def topo_order(root):
     return order
 
 
+def _freed(node):
+    raise ConfigurationError(
+        "this graph was freed by an earlier backward(); rebuild it from the "
+        "leaves before calling backward() through it again"
+    )
+
+
 def backward(loss):
-    """Populate ``grad`` on every node reachable from ``loss``.
+    """Populate ``grad`` on every node reachable from ``loss``, freeing the graph.
 
     ``loss`` must hold a single scalar that depends on a node needing a
-    gradient (so not one built under ``no_grad``). Gradients accumulate
-    across calls; zero them (or rebuild the graph) before reusing nodes.
+    gradient (so not one built under ``no_grad``). Once a node's rule has
+    run, the node drops its parents and its rule, and with them the arrays
+    the rule saved; an interior node the caller does not hold is freed then,
+    with its data and gradient. A node the caller holds keeps its data and
+    gradient. Leaf gradients accumulate across graphs, so zero them between
+    steps. A freed graph cannot be walked again: a second backward() through
+    any of its interior nodes raises ConfigurationError.
     """
     if loss.data.size != 1:
         raise ConfigurationError(
@@ -168,9 +184,14 @@ def backward(loss):
             "no trainable leaf or was built under no_grad"
         )
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(topo_order(loss)):
+    order = topo_order(loss)
+    while order:
+        node = order.pop()
         if node.backward_rule is not None and node.needs_grad:
             node.backward_rule(node)
+            node.parents = ()
+            node.backward_rule = _freed
+        del node  # not held into the next rule
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -269,13 +270,55 @@ class TestBackward:
         g1, g2 = one_pass(), one_pass()
         assert np.array_equal(g1, g2)
 
-    def test_backward_accumulates_without_reset(self, rng):
+    def test_second_backward_of_one_loss_raises(self, rng):
         p = T.leaf(rng.standard_normal(4), needs_grad=True)
         loss = T.sum_all(p)
         T.backward(loss)
+        with pytest.raises(ConfigurationError, match="freed"):
+            T.backward(loss)
+
+    def test_second_loss_through_a_freed_node_raises(self, rng):
+        p = T.leaf(rng.standard_normal(4), needs_grad=True)
+        h = T.tanh(p)
+        T.backward(T.sum_all(h))
+        with pytest.raises(ConfigurationError, match="freed"):
+            T.backward(T.sum_all(T.square(h)))
+
+    def test_leaf_gradients_accumulate_across_graphs(self, rng):
+        p = T.leaf(rng.standard_normal(4), needs_grad=True)
+        T.backward(T.sum_all(p))
+        T.backward(T.sum_all(p))
+        assert np.array_equal(p.grad, np.full(4, 2.0))
+
+    def test_unheld_interior_node_is_freed(self, rng):
+        q = T.leaf(rng.standard_normal((4, 5)), needs_grad=True)
+        mid = T.tanh(q)
+        mid_data = weakref.ref(mid.data)
+        loss = T.sum_all(T.square(mid))
+        del mid
         T.backward(loss)
-        # the second call includes the seeded ones and the first call's grads
-        assert np.allclose(p.grad, 3.0, atol=1e-7)
+        assert mid_data() is None
+
+    def test_backward_peak_stays_near_forward_storage(self):
+        n = 1 << 18
+        size = n * 8  # bytes of one float64 value (and of its gradient)
+        tracemalloc.start()
+        try:
+            h = p = T.leaf(np.linspace(-1.0, 1.0, n), needs_grad=True)
+            for op in (T.tanh, T.square, T.sigmoid, T.relu,
+                       T.tanh, T.square, T.sigmoid, T.tanh):
+                h = op(h)
+            loss = T.sum_all(h)
+            del h
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # kept gradients would add one value's size per node of the chain
+        assert peak < forward + 4 * size, (peak, forward)
+        assert p.grad.shape == (n,)
 
     def test_rank_limit_enforced(self):
         with pytest.raises(ConfigurationError):
