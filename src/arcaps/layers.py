@@ -139,8 +139,8 @@ class PrimaryCaps:
 
 
 class ConvCaps:
-    """Capsule layer: dropout -> convolutional transform and attention
-    routing -> optional residual -> capsule activation.
+    """Capsule layer: dropout -> one op of patch extraction, convolutional
+    transform and attention routing -> optional residual -> activation.
 
     The convolutional transform holds one (kw, kh, D_in, D_out) kernel per
     (output channel n, input channel m) pair, shared across space and
@@ -148,8 +148,8 @@ class ConvCaps:
     N*D_out) parameter ``transform``: columns n*D_out .. n*D_out+D_out-1
     hold output channel n, and its slice [m, :, those columns] is the
     (kw, kh, D_in, D_out) kernel flattened in C order. One
-    :func:`~arcaps.tensor.transform_route` call then transforms and routes
-    every output channel at once.
+    :func:`~arcaps.tensor.transform_route` call then extracts the patches,
+    transforms them and routes every output channel at once.
     """
 
     def __init__(self, store, name, in_dim, in_channels, dim, channels, rng,
@@ -191,9 +191,9 @@ class ConvCaps:
 
     def forward(self, caps, train, rng=None):
         dropped = T.dropout(caps, self.keep_prob, train, rng)
-        cols = T.im2col_capsules(dropped, self.ksize, self.stride, self.padding)
         try:
-            pre = T.transform_route(cols, self.transform, self.attention)
+            pre = T.transform_route(dropped, self.transform, self.attention,
+                                    self.ksize, self.stride, self.padding)
         except ComputationError as exc:
             raise ComputationError(f"{self.name}: {exc}") from exc
         if self.residual:

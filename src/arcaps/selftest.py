@@ -48,9 +48,10 @@ def _op_gradient_checks():
     cols = rng.standard_normal((2, 2, 3, 4, 3))
     tw = rng.standard_normal((3, 4, 6)) * 0.5
     tref = rng.standard_normal((2, 3, 3))
-    checks.append(("transform_route", [cols, tw, tref],
-                   lambda ts: T.sum_all(T.mul(T.transform_route(ts[0], ts[1], ts[2]),
-                                              T.leaf(_marker((2, 2, 3, 3, 2)))))))
+    checks.append(("transform_route 1x1 valid", [cols, tw, tref],
+                   lambda ts: T.sum_all(T.mul(
+                       T.transform_route(ts[0], ts[1], ts[2], (1, 1), 1, "valid"),
+                       T.leaf(_marker((2, 2, 3, 3, 2)))))))
 
     z = rng.standard_normal((3, 4)) * 2.0
     checks.append(("tanh", [z], lambda ts: T.sum_all(
@@ -94,11 +95,14 @@ def _op_gradient_checks():
                    lambda ts: T.sum_all(T.mul(T.capsule_norm(ts[0]),
                                               T.leaf(_marker((3, 2)))))))
 
+    # (1, 4, 4, 3, 2) capsules, 3x3 patches at stride 2, to N=2 channels of E=3
     caps5 = rng.standard_normal((1, 4, 4, 3, 2))
-    checks.append(("im2col_capsules", [caps5],
+    cw = rng.standard_normal((2, 27, 6)) * 0.3
+    cref = rng.standard_normal((2, 3, 2))
+    checks.append(("transform_route 3x3 stride=2 same", [caps5, cw, cref],
                    lambda ts: T.sum_all(T.mul(
-                       T.im2col_capsules(ts[0], (3, 3), 2, "same"),
-                       T.leaf(_marker((1, 2, 2, 27, 2)))))))
+                       T.transform_route(ts[0], ts[1], ts[2], (3, 3), 2, "same"),
+                       T.leaf(_marker((1, 2, 2, 3, 2)))))))
     return checks
 
 
@@ -216,23 +220,27 @@ def routing_weights(logits):
     logits = np.asarray(logits)
     weight, reference = softmax_probe(logits.shape[-1], logits.dtype)
     cols = np.stack([np.ones_like(logits), logits], axis=3)
-    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference))
+    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference),
+                            (1, 1), 1, "valid")
     return out.data[..., :-1, 0]
 
 
 def _routing_oracle_check():
     rng = _rng(22)
-    b, w, h, d, m, n, e = 1, 2, 2, 4, 3, 2, 4
-    u = rng.standard_normal((b, w, h, d, m))
-    weight = rng.standard_normal((m, 9 * d, n * e))
-    ref = rng.standard_normal((n, e, m))
+    worst = 0.0
+    for stride, size in ((1, 2), (2, 5)):
+        b, w, h, d, m, n, e = 1, size, size, 4, 3, 2, 4
+        u = rng.standard_normal((b, w, h, d, m))
+        weight = rng.standard_normal((m, 9 * d, n * e))
+        ref = rng.standard_normal((n, e, m))
 
-    cols = T.im2col_capsules(T.leaf(u), (3, 3), 1, "same")
-    fast = T.transform_route(cols, T.leaf(weight), T.leaf(ref)).data
+        fast = T.transform_route(T.leaf(u), T.leaf(weight), T.leaf(ref),
+                                 (3, 3), stride, "same").data
 
-    slow_stacks = reference.conv_transform_loops(u, oracle_banks(weight, (3, 3), e), 1, "same")
-    slow = reference.attention_route_loops(slow_stacks, ref)
-    worst = float(np.max(np.abs(fast - slow)))
+        slow_stacks = reference.conv_transform_loops(
+            u, oracle_banks(weight, (3, 3), e), stride, "same")
+        slow = reference.attention_route_loops(slow_stacks, ref)
+        worst = max(worst, float(np.max(np.abs(fast - slow))))
     if worst > 1e-6:
         raise ComputationError(f"attention routing oracle mismatch: {worst:.2e}")
     return worst

@@ -393,12 +393,6 @@ def _patch_view(x, kw, kh, stride, padding):
     return view, geom
 
 
-def _im2col(x, kw, kh, stride, padding):
-    """Patch matrix of a (B, W, H, *tail) array: _patch_view as a contiguous copy."""
-    view, geom = _patch_view(x, kw, kh, stride, padding)
-    return np.ascontiguousarray(view), geom
-
-
 def _col2im_add(gx, gcols, stride):
     """Scatter-add (B, Wo, Ho, kw, kh, *tail) patch gradients into the padded
     (B, Wp, Hp, *tail) input gradient ``gx``."""
@@ -492,33 +486,6 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
     return Tensor(out, parents, rule)
 
 
-def im2col_capsules(x, ksize, stride, padding):
-    """Patch extraction for a capsule tensor (B, W, H, D, M).
-
-    Output shape (B, Wo, Ho, kw*kh*D, M): each spatial position carries the
-    flattened receptive-field patch of every input channel m, which
-    transform_route then maps to transformed capsules.
-    """
-    if padding not in _PADDINGS:
-        raise ConfigurationError(f"unknown padding {padding!r}")
-    if x.data.ndim != 5:
-        raise ConfigurationError(f"im2col_capsules() expects rank 5, got {x.shape}")
-    kw, kh = ksize
-    d, m = x.shape[3], x.shape[4]
-    cols, geom = _im2col(x.data, kw, kh, stride, padding)
-    b, wo, ho = cols.shape[:3]
-    # (b, wo, ho, kw, kh, d, m) -> (b, wo, ho, kw*kh*d, m): patch axes are
-    # already adjacent and ahead of m, so this is a plain reshape.
-    out = cols.reshape(b, wo, ho, kw * kh * d, m)
-
-    def rule(node):
-        if x.needs_grad:
-            gcols = node.grad.reshape(b, wo, ho, kw, kh, d, m)
-            x.accumulate_grad(_col2im(gcols, geom))
-
-    return Tensor(out, (x,), rule)
-
-
 def channel_affine(x, weight, bias=None):
     """Independent affine map per trailing channel.
 
@@ -563,37 +530,47 @@ def channel_affine(x, weight, bias=None):
     return Tensor(np.ascontiguousarray(out), parents, rule)
 
 
-def transform_route(cols, weight, reference):
-    """Convolutional transform plus one-pass attention routing, as one op.
+def transform_route(caps, weight, reference, ksize, stride, padding):
+    """Patch extraction, convolutional transform and one-pass attention
+    routing of a capsule layer, as one op.
 
-    cols: (B, W, H, K, M) patches from im2col_capsules; weight: (M, K, N*E),
-    whose columns n*E .. n*E+E-1 hold the transform from input channel m
-    to output channel n; reference: (N, E, M) attention kernel.
+    caps: (B, W, H, D, M), with receptive fields of ksize = (kw, kh) at
+    ``stride`` and ``padding``; weight: (M, K, N*E) with K = kw*kh*D, whose
+    columns n*E .. n*E+E-1 hold the transform from input channel m to
+    output channel n; reference: (N, E, M) attention kernel.
 
-    For each position p and output channel n:
-      u[m, p, n]     = cols[p, :, m] @ weight[m, :, n*E:(n+1)*E]  (one GEMM)
+    For each position p, with x[p, :, m] the flattened patch of channel m,
+    and each output channel n:
+      u[m, p, n]     = x[p, :, m] @ weight[m, :, n*E:(n+1)*E]  (one GEMM)
       logit[m, p, n] = <u[m, p, n], reference[n, :, m]>
       a[:, p, n]     = softmax over m of the logits
       out[p, :, n]   = sum_m a[m, p, n] * u[m, p, n]
 
-    The predictions u stay in the GEMM's (M, P, N, E) layout with
-    P = B*W*H, so every sum over input channels reduces the leading axis.
-    Returns the pre-activation capsules (B, W, H, E, N).
+    The patches are copied once, into the GEMM's (M, P, K) operand with
+    P = B*Wo*Ho, and u stays in its (M, P, N, E) layout, so every sum over
+    input channels reduces the leading axis. Returns the pre-activation
+    capsules (B, Wo, Ho, E, N).
     """
-    if cols.data.ndim != 5 or weight.data.ndim != 3 or reference.data.ndim != 3:
+    if padding not in _PADDINGS:
+        raise ConfigurationError(f"unknown padding {padding!r}")
+    if caps.data.ndim != 5 or weight.data.ndim != 3 or reference.data.ndim != 3:
         raise ConfigurationError(
             f"transform_route() expects rank-5 input, rank-3 weight and rank-3 "
-            f"reference, got {cols.shape}, {weight.shape} and {reference.shape}"
+            f"reference, got {caps.shape}, {weight.shape} and {reference.shape}"
         )
-    b, w, h, k, m = cols.shape
+    kw, kh = ksize
+    d, m = caps.shape[3:]
+    k = kw * kh * d
     n, e = reference.shape[:2]
     if weight.shape != (m, k, n * e) or reference.shape[2] != m:
         raise ConfigurationError(
-            f"transform_route() weight {weight.shape} and reference {reference.shape} "
-            f"do not match input {cols.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
+            f"transform_route() weight {weight.shape} and reference {reference.shape} do "
+            f"not match {ksize} patches of {caps.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
-    p = b * w * h
-    xt = np.ascontiguousarray(np.moveaxis(cols.data, -1, 0)).reshape(m, p, k)
+    view, geom = _patch_view(caps.data, kw, kh, stride, padding)
+    b, wo, ho = view.shape[:3]
+    p = b * wo * ho
+    xt = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(m, p, k)
     u = (xt @ weight.data).reshape(m, p, n, e)
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
     logits = np.einsum("mpne,mne->mpn", u, ref)
@@ -616,12 +593,17 @@ def transform_route(cols, weight, reference):
         gu = gu.reshape(m, p, n * e)
         if weight.needs_grad:
             weight.accumulate_grad(xt.transpose(0, 2, 1) @ gu)
-        if cols.needs_grad:
+        if caps.needs_grad:
             gx = gu @ weight.data.transpose(0, 2, 1)  # (m, p, k)
-            cols.accumulate_grad(np.moveaxis(gx.reshape(m, b, w, h, k), 0, -1))
+            del gu  # not held through the copy and the scatter
+            # the scatter runs faster from the patch layout than from a view
+            # that reads m at a large stride
+            gcols = np.ascontiguousarray(np.moveaxis(gx.reshape(m, b, wo, ho, kw, kh, d), 0, -1))
+            del gx
+            caps.accumulate_grad(_col2im(gcols, geom))
 
-    pre = out.reshape(b, w, h, n, e).transpose(0, 1, 2, 4, 3)
-    return Tensor(np.ascontiguousarray(pre), (cols, weight, reference), rule)
+    pre = out.reshape(b, wo, ho, n, e).transpose(0, 1, 2, 4, 3)
+    return Tensor(np.ascontiguousarray(pre), (caps, weight, reference), rule)
 
 
 # ---------------------------------------------------------------------------

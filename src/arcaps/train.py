@@ -158,10 +158,10 @@ def train(run_config: cfgmod.RunConfig, dataset: Dataset, out_dir=None,
     """
     epochs = run_config.epochs if epochs is None else epochs
     seed = run_config.seed if seed is None else seed
-    out = Path(out_dir if out_dir is not None else run_config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if epochs < 0:
         raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+    out = Path(out_dir if out_dir is not None else run_config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     model = ArCapsNet(run_config.model_config(), seed=seed)
     state = RmspropState(model.store)

@@ -40,18 +40,18 @@ def layer_banks(layer):
 
 def pre_activation(layer, u):
     """A ConvCaps layer's routed capsules before the activation (no dropout)."""
-    cols = T.im2col_capsules(T.leaf(u), layer.ksize, layer.stride, layer.padding)
-    return T.transform_route(cols, layer.transform, layer.attention).data
+    return T.transform_route(T.leaf(u), layer.transform, layer.attention,
+                             layer.ksize, layer.stride, layer.padding).data
 
 
 def transform_stacks(layer, u):
     """A ConvCaps layer's transformed capsules before routing: a list over
     output channel n of (B, W, H, E, M) arrays. Read through transform_route
     one input channel at a time; routing over one channel has weight 1."""
-    cols = T.im2col_capsules(T.leaf(u), layer.ksize, layer.stride, layer.padding).data
-    per_m = [T.transform_route(T.leaf(cols[..., m:m + 1]),
+    per_m = [T.transform_route(T.leaf(u[..., m:m + 1]),
                                T.leaf(layer.transform.data[m:m + 1]),
-                               T.leaf(layer.attention.data[..., m:m + 1])).data
+                               T.leaf(layer.attention.data[..., m:m + 1]),
+                               layer.ksize, layer.stride, layer.padding).data
              for m in range(layer.in_channels)]
     stacked = np.stack(per_m, axis=-1)  # (B, W, H, E, N, M)
     return [stacked[..., n, :] for n in range(layer.channels)]
@@ -81,7 +81,8 @@ def routing_logits(x, ref):
     weight[np.arange(m + 1), d, d + np.arange(m + 1)] = 1.0
     reference = np.zeros((1, ref.shape[0] + m + 1, m + 1), dtype=x.dtype)
     reference[0, :ref.shape[0], :m] = ref
-    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference)).data
+    out = T.transform_route(T.leaf(cols), T.leaf(weight), T.leaf(reference),
+                            (1, 1), 1, "valid").data
     a = out[..., d:, 0]
     return np.log(a[..., :m]) - np.log(a[..., m:])
 

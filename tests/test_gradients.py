@@ -16,6 +16,10 @@ from conftest import conv_blocks_of_two
 
 SEEDS = range(5)
 
+# transform_route geometry under which each position's patch is the input
+# itself: the probes below feed hand-built patches
+PATCHES_ARE_INPUT = ((1, 1), 1, "valid")
+
 
 def _frozen_weight(rng, forward, arrays):
     """Fix a random weighting of the op output so the loss is a pure function."""
@@ -57,8 +61,8 @@ def test_channelwise_dot3d_gradients(seed):
     identity = T.leaf(np.broadcast_to(np.eye(d), (m, d, d)).copy())
     arrays = [x, ref]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], identity, ts[1]), arrays),
-        arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], identity, ts[1],
+                                                         *PATCHES_ARE_INPUT), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -73,17 +77,32 @@ def test_channel_affine_gradients(seed):
         _frozen_weight(rng, lambda ts: T.channel_affine(ts[0], ts[1], ts[2]), arrays), arrays)
 
 
+# (input shape (B, W, H), ksize, stride, padding), one per seed: patches of
+# one position, 3x3 "same" at stride 1 and 2 (over an even and an odd
+# extent), and a kernel covering the whole extent
+TRANSFORM_ROUTE_GEOMETRIES = [((2, 2, 3), (1, 1), 1, "valid"),
+                              ((1, 4, 4), (3, 3), 1, "same"),
+                              ((1, 4, 4), (3, 3), 2, "same"),
+                              ((1, 5, 5), (3, 3), 2, "same"),
+                              ((2, 3, 3), (3, 3), 1, "valid")]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_transform_route_gradients(seed):
+    # patch extraction, the transform GEMM and routing, with the patch
+    # gradient scattered back to the input capsules
+    shape, ksize, stride, padding = TRANSFORM_ROUTE_GEOMETRIES[seed]
     rng = np.random.default_rng(30 + seed)
-    k, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    d, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
     n, e = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-    cols = rng.standard_normal((2, 2, 3, k, m))
-    w = rng.standard_normal((m, k, n * e)) * 0.5
+    taps = ksize[0] * ksize[1]
+    caps = rng.standard_normal(shape + (d, m))
+    w = rng.standard_normal((m, taps * d, n * e)) * 0.5 / np.sqrt(taps)
     ref = rng.standard_normal((n, e, m))
-    arrays = [cols, w, ref]
+    arrays = [caps, w, ref]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], ts[2]), arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], ts[2], ksize, stride,
+                                                         padding), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -98,8 +117,8 @@ def test_route_combine_gradients(seed):
     zero_ref = T.leaf(np.zeros((n, e, m)))
     arrays = [cols, w]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], zero_ref), arrays),
-        arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], zero_ref,
+                                                         *PATCHES_ARE_INPUT), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -110,8 +129,8 @@ def test_softmax_gradients(seed):
     w, ref = softmax_probe(logits.shape[-1])
     arrays = [np.stack([np.ones_like(logits), logits], axis=3)]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], T.leaf(w), T.leaf(ref)),
-                       arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.transform_route(ts[0], T.leaf(w), T.leaf(ref),
+                                                         *PATCHES_ARE_INPUT), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -187,17 +206,6 @@ def test_capsule_norm_gradients(seed):
     arrays = [x]
     check_gradients(
         _frozen_weight(rng, lambda ts: T.capsule_norm(ts[0]), arrays), arrays)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_im2col_capsules_gradients(seed):
-    rng = np.random.default_rng(110 + seed)
-    d, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
-    x = rng.standard_normal((1, 4, 4, d, m))
-    stride = (seed % 2) + 1
-    arrays = [x]
-    check_gradients(
-        _frozen_weight(rng, lambda ts: T.im2col_capsules(ts[0], (3, 3), stride, "same"), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -228,13 +228,17 @@ class TestAttentionRoute:
             assert np.allclose(routed[..., n], stack.mean(axis=-1), atol=1e-9)
 
     def test_matches_loop_oracle(self, rng):
-        for _ in range(20):
-            layer, _ = make_conv_caps(rng, in_dim=4, in_ch=3, dim=4, channels=3)
-            u = rng.standard_normal((1, 2, 2, 4, 3))
-            fast = pre_activation(layer, u)
-            stacks = reference.conv_transform_loops(u, layer_banks(layer), 1, "same")
-            slow = reference.attention_route_loops(stacks, layer.attention.data)
-            assert np.max(np.abs(fast - slow)) < 1e-6
+        # stride 2 as convcaps0 of the default model routes, over an odd
+        # extent so the padding falls on both sides
+        for stride, size in ((1, 2), (2, 5)):
+            for _ in range(20):
+                layer, _ = make_conv_caps(rng, in_dim=4, in_ch=3, dim=4, channels=3,
+                                          stride=stride)
+                u = rng.standard_normal((1, size, size, 4, 3))
+                fast = pre_activation(layer, u)
+                stacks = reference.conv_transform_loops(u, layer_banks(layer), stride, "same")
+                slow = reference.attention_route_loops(stacks, layer.attention.data)
+                assert np.max(np.abs(fast - slow)) < 1e-6
 
     def test_routing_weights_normalized_and_positive(self, rng):
         layer, _ = make_conv_caps(rng)
@@ -317,6 +321,17 @@ class TestConvCaps:
         assert np.array_equal(a, b)
         c = layer.forward(T.leaf(u), train=True, rng=np.random.default_rng(0)).data
         assert not np.array_equal(a, c)
+
+    def test_train_forward_builds_one_node_per_step_and_no_patch_array(self, rng, node_log):
+        # dropout, transform_route (patches, transform and routing),
+        # channel_affine, tanh
+        layer, _ = make_conv_caps(rng, stride=2)
+        u = T.leaf(rng.standard_normal((2, 6, 6, 3, 3)), needs_grad=True)
+        node_log.clear()
+        out = layer.forward(u, train=True, rng=np.random.default_rng(0))
+        assert len(node_log) == 4 and node_log[-1] is out
+        patches = (2, 3, 3, 27, 3)  # (B, Wo, Ho, kw*kh*D, M)
+        assert all(n.shape != patches for n in node_log)
 
     @pytest.mark.parametrize("layer", ["convcaps0", "fullycaps"])
     def test_routing_failure_names_the_layer(self, rng, tiny_config, layer):

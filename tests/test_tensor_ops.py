@@ -111,22 +111,32 @@ class TestChannelwiseDot:
 
 class TestTransformRoute:
     def test_shape_mismatch_rejected(self):
-        cols = T.leaf(np.zeros((1, 2, 2, 4, 3)))
+        caps = T.leaf(np.zeros((1, 2, 2, 4, 3)))
         with pytest.raises(ConfigurationError):
-            T.transform_route(cols, T.leaf(np.zeros((3, 4, 6))), T.leaf(np.zeros((2, 3, 2))))
+            T.transform_route(caps, T.leaf(np.zeros((3, 4, 6))), T.leaf(np.zeros((2, 3, 2))),
+                              (1, 1), 1, "valid")
         with pytest.raises(ConfigurationError):
-            T.transform_route(cols, T.leaf(np.zeros((3, 5, 6))), T.leaf(np.zeros((2, 3, 3))))
+            T.transform_route(caps, T.leaf(np.zeros((3, 5, 6))), T.leaf(np.zeros((2, 3, 3))),
+                              (1, 1), 1, "valid")
         with pytest.raises(ConfigurationError):
-            T.transform_route(cols, T.leaf(np.zeros((3, 4, 8))), T.leaf(np.zeros((2, 3, 3))))
+            T.transform_route(caps, T.leaf(np.zeros((3, 4, 8))), T.leaf(np.zeros((2, 3, 3))),
+                              (1, 1), 1, "valid")
+
+    def test_unknown_padding_and_rank_4_input_rejected(self):
+        w, ref = T.leaf(np.zeros((3, 36, 6))), T.leaf(np.zeros((2, 3, 3)))
+        with pytest.raises(ConfigurationError, match="unknown padding 'full'"):
+            T.transform_route(T.leaf(np.zeros((1, 4, 4, 4, 3))), w, ref, (3, 3), 1, "full")
+        with pytest.raises(ConfigurationError, match="rank-5 input"):
+            T.transform_route(T.leaf(np.zeros((1, 4, 4, 12))), w, ref, (3, 3), 1, "same")
 
     def test_float32_stays_float32(self, rng):
-        cols = T.leaf(rng.standard_normal((2, 2, 2, 4, 3)).astype(np.float32), needs_grad=True)
-        w = T.leaf(rng.standard_normal((3, 4, 6)).astype(np.float32), needs_grad=True)
+        caps = T.leaf(rng.standard_normal((2, 3, 3, 4, 3)).astype(np.float32), needs_grad=True)
+        w = T.leaf(rng.standard_normal((3, 36, 6)).astype(np.float32), needs_grad=True)
         ref = T.leaf(rng.standard_normal((2, 3, 3)).astype(np.float32), needs_grad=True)
-        out = T.transform_route(cols, w, ref)
+        out = T.transform_route(caps, w, ref, (3, 3), 2, "same")
         T.backward(T.sum_all(out))
         assert out.dtype == np.float32
-        assert all(t.grad.dtype == np.float32 for t in (cols, w, ref))
+        assert all(t.grad.dtype == np.float32 for t in (caps, w, ref))
 
 
 class TestSoftmax:

@@ -9,7 +9,7 @@ import pytest
 from arcaps import checkpoint, tensor as T
 from arcaps.config import RunConfig
 from arcaps.data import Dataset, split_train_val
-from arcaps.errors import ComputationError
+from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.model import ArCapsNet
 from arcaps.train import (METRICS_HEADER, _train_one_batch, evaluate, load_model,
                           train)
@@ -56,6 +56,12 @@ class TestTrainLoop:
         fresh = ArCapsNet(cfg.model_config(), seed=cfg.seed)
         for name, t in fresh.store.items():
             assert np.array_equal(t.data, model.store[name].data)
+
+    def test_negative_epochs_rejected_before_out_dir_is_made(self, tmp_path):
+        cfg = micro_run_config(tmp_path)
+        with pytest.raises(ConfigurationError, match="epochs must be >= 0"):
+            train(cfg, micro_dataset(64), out_dir=tmp_path / "x", epochs=-1)
+        assert not (tmp_path / "x").exists()
 
     def test_identical_seeds_give_bitwise_identical_checkpoints(self, tmp_path):
         # same command, same seed, same out-dir: rerun and compare bytes
