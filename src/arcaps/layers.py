@@ -55,7 +55,8 @@ def _weight(rng, shape, fan_in, fan_out, dtype):
 
 
 class ConvBlock:
-    """3x3 stride-1 same-padding convolution + batchnorm + relu (stem unit)."""
+    """3x3 stride-1 same-padding convolution + batchnorm + relu (stem unit),
+    one :func:`~arcaps.tensor.conv_bn_relu` op."""
 
     def __init__(self, store, name, cin, cout, rng, dtype=np.float32):
         self.kernel = store.add(
@@ -73,9 +74,8 @@ class ConvBlock:
         )
 
     def forward(self, x, train):
-        y = T.conv2d(x, self.kernel, self.bias, stride=1, padding="same")
-        y, mu, var = T.batchnorm(
-            y, self.gamma, self.beta,
+        y, mu, var = T.conv_bn_relu(
+            x, self.kernel, self.bias, self.gamma, self.beta,
             self.running_mean.data, self.running_var.data, train,
         )
         if train:
@@ -86,7 +86,7 @@ class ConvBlock:
             self.running_var.data = (m * self.running_var.data + (1 - m) * var).astype(
                 self.running_var.dtype
             )
-        return T.relu(y)
+        return y
 
 
 class CapsuleActivation:

@@ -77,6 +77,13 @@ def _op_gradient_checks():
                                    np.zeros(4), np.ones(4), False)[0],
                        T.leaf(_marker((6, 3, 3, 4)))))))
 
+    for train in (True, False):
+        arrays, stats = stem_probe(rng, (2, 5, 5, 2), 3, train)
+        checks.append((f"conv_bn_relu {'train' if train else 'infer'}", arrays,
+                       lambda ts, tr=train, st=stats: T.sum_all(T.mul(
+                           T.conv_bn_relu(*ts, *st, tr)[0],
+                           T.leaf(_marker((2, 5, 5, 3)))))))
+
     def dropout_loss(ts):
         return T.sum_all(T.mul(T.dropout(ts[0], 0.6, True, _rng(77)),
                                T.leaf(_marker((4, 5)))))
@@ -116,6 +123,73 @@ def _marker(shape):
     """Deterministic weighting so sum-based losses see every output element."""
     rng = np.random.default_rng(np.random.SeedSequence([0x3A6C, *shape]))
     return rng.standard_normal(shape)
+
+
+def stem_probe(rng, shape, cout, train, eps=1e-5):
+    """Float64 inputs of one conv_bn_relu call over a (B, W, H, Cin) input:
+    [x, kernel, bias, gamma, beta] and (running_mean, running_var).
+
+    beta puts each channel's relu threshold mid-way across the widest gap
+    between the middle half of its normalized conv outputs, so the relu is
+    active on part of every channel but a finite-difference step of 1e-3
+    crosses no kink.
+    """
+    cin = shape[3]
+    x = rng.standard_normal(shape)
+    kernel = rng.standard_normal((3, 3, cin, cout)) / (3 * np.sqrt(cin))
+    bias = 0.1 * rng.standard_normal(cout)
+    gamma = 1 + 0.2 * rng.standard_normal(cout)
+    stats = (0.1 * rng.standard_normal(cout), 1 + 0.1 * rng.random(cout))
+    z = T.conv2d(T.leaf(x), T.leaf(kernel), T.leaf(bias)).data.reshape(-1, cout)
+    mean, var = (z.mean(axis=0), z.var(axis=0)) if train else stats
+    xhat = np.sort((z - mean) / np.sqrt(var + eps), axis=0)
+    mid = xhat[len(xhat) // 4: len(xhat) - len(xhat) // 4]
+    gap = np.argmax(np.diff(mid, axis=0), axis=0)
+    cols = np.arange(cout)
+    beta = -gamma * (mid[gap, cols] + mid[gap + 1, cols]) / 2
+    return [x, kernel, bias, gamma, beta], stats
+
+
+def stem_composition(x, kernel, bias, gamma, beta, running_mean, running_var, train):
+    """conv2d -> batchnorm -> relu: the reference composition of conv_bn_relu,
+    with the same (out, batch_mean, batch_var) result."""
+    bn, mean, var = T.batchnorm(T.conv2d(x, kernel, bias, 1, "same"), gamma, beta,
+                                running_mean, running_var, train)
+    return T.relu(bn), mean, var
+
+
+def stem_oracle_gap(arrays, stats, train, x_grad=True):
+    """Worst difference of conv_bn_relu from its reference composition over
+    the output, the batch statistics and the gradients of x (when x_grad),
+    kernel, bias, gamma and beta, each relative to max(1, max |reference|)."""
+    marker = _marker(arrays[0].shape[:3] + (arrays[1].shape[3],))
+    results = []
+    for op in (T.conv_bn_relu, stem_composition):
+        leaves = [T.leaf(a, needs_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+        out, mean, var = op(*leaves, *stats, train)
+        T.backward(T.sum_all(T.mul(out, T.leaf(marker))))
+        results.append([out.data, mean, var] + [t.grad for t in leaves[0 if x_grad else 1:]])
+    worst = 0.0
+    for got, want in zip(*results):
+        if want is None:
+            if got is not None:
+                raise ComputationError("conv_bn_relu returned infer-mode batch statistics")
+            continue
+        worst = max(worst, float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))))
+    return worst
+
+
+def _stem_oracle_check():
+    # 3 images of 5x5 whose 3x3 patches each take just under half the block
+    # budget: the convolution runs in two blocks, the last one ragged
+    wide = T.CONV_BLOCK_BYTES // (2 * 25 * 9 * 8)
+    worst = 0.0
+    for train in (True, False):
+        arrays, stats = stem_probe(_rng(24), (3, 5, 5, wide), 4, train)
+        worst = max(worst, stem_oracle_gap(arrays, stats, train))
+    if worst > 1e-9:
+        raise ComputationError(f"conv_bn_relu differs from conv2d+batchnorm+relu: {worst:.2e}")
+    return worst
 
 
 def _tiny_model():
@@ -299,6 +373,7 @@ def run(report=print):
             failures += 1
             report(f"FAIL gradient {name}: {exc}")
     for label, fn in (("conv2d vs loop oracle", _conv_oracle_check),
+                      ("conv_bn_relu vs conv2d+batchnorm+relu", _stem_oracle_check),
                       ("attention routing vs loop oracle", _routing_oracle_check),
                       ("scalar reference values", _scalar_examples),
                       ("align vector vs Jacobi oracle", _align_vector_check),

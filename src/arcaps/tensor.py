@@ -366,6 +366,18 @@ def _conv_geometry(size, k, stride, padding):
     return out, 0, 0
 
 
+def _patches(xp, wo, ho, kw, kh, stride):
+    """(B, Wo, Ho, kw, kh, *tail) patch view of an already padded
+    (B, Wp, Hp, *tail) array."""
+    s = xp.strides
+    return as_strided(
+        xp,
+        shape=(xp.shape[0], wo, ho, kw, kh) + xp.shape[3:],
+        strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2]) + s[3:],
+        writeable=False,
+    )
+
+
 def _patch_view(x, kw, kh, stride, padding):
     """Patch view of a (B, W, H, *tail) array, copying nothing but the padding.
 
@@ -373,24 +385,16 @@ def _patch_view(x, kw, kh, stride, padding):
     over the zero-padded input and geometry carries the padding bookkeeping
     that _col2im needs to reverse the layout.
     """
-    b, w, h = x.shape[:3]
-    tail = x.shape[3:]
+    w, h = x.shape[1:3]
     wo, pw0, pw1 = _conv_geometry(w, kw, stride, padding)
     ho, ph0, ph1 = _conv_geometry(h, kh, stride, padding)
     if pw0 or pw1 or ph0 or ph1:
-        pad = [(0, 0), (pw0, pw1), (ph0, ph1)] + [(0, 0)] * len(tail)
+        pad = [(0, 0), (pw0, pw1), (ph0, ph1)] + [(0, 0)] * (x.ndim - 3)
         xp = np.pad(x, pad)
     else:
         xp = x
-    s = xp.strides
-    view = as_strided(
-        xp,
-        shape=(b, wo, ho, kw, kh) + tail,
-        strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2]) + s[3:],
-        writeable=False,
-    )
     geom = (xp.shape, (pw0, ph0), (w, h), stride)
-    return view, geom
+    return _patches(xp, wo, ho, kw, kh, stride), geom
 
 
 def _col2im_add(gx, gcols, stride):
@@ -412,78 +416,244 @@ def _col2im(gcols, geom):
     return gx[:, pw0 : pw0 + w, ph0 : ph0 + h]
 
 
-def conv2d(x, kernel, bias=None, stride=1, padding="same"):
-    """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel.
-
-    The batch is walked in blocks of whole images: a block's patches are
-    copied into one reused buffer of at most CONV_BLOCK_BYTES and multiplied
-    straight into the block's rows of the output, so the full
-    (B*Wo*Ho, kw*kh*Cin) patch matrix never exists. The backward rule holds
-    no patches; it extracts them again block by block.
-    """
-    if padding not in _PADDINGS:
-        raise ConfigurationError(f"unknown padding {padding!r}")
+def _check_conv(op, x, kernel, bias):
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ConfigurationError(
-            f"conv2d() expects rank-4 input and kernel, got {x.shape} and {kernel.shape}"
+            f"{op}() expects rank-4 input and kernel, got {x.shape} and {kernel.shape}"
         )
-    kw, kh, cin, cout = kernel.shape
+    cin, cout = kernel.shape[2:]
     if x.shape[3] != cin:
         raise ConfigurationError(
-            f"conv2d() channel mismatch: input {x.shape} has {x.shape[3]} channels, "
+            f"{op}() channel mismatch: input {x.shape} has {x.shape[3]} channels, "
             f"kernel {kernel.shape} expects {cin}"
         )
     if bias is not None and bias.shape != (cout,):
-        raise ConfigurationError(f"conv2d() bias shape {bias.shape} != ({cout},)")
+        raise ConfigurationError(f"{op}() bias shape {bias.shape} != ({cout},)")
 
-    view, geom = _patch_view(x.data, kw, kh, stride, padding)
-    b, wo, ho = view.shape[:3]
-    rows, patch = wo * ho, kw * kh * cin
-    step = min(b, max(1, CONV_BLOCK_BYTES // view[0].nbytes))
-    blocks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
-    block_shape = (step,) + view.shape[1:]
-    kmat = kernel.data.reshape(patch, cout)
-    buf = np.empty(block_shape, dtype=view.dtype)
-    out = np.empty((b * rows, cout), dtype=np.result_type(view, kmat))
-    for lo, hi in blocks:
-        cols = buf[: hi - lo]
-        np.copyto(cols, view[lo:hi])
-        blk = out[lo * rows : hi * rows]
-        np.matmul(cols.reshape(-1, patch), kmat, out=blk)
-        if bias is not None:
-            blk += bias.data
-    out = out.reshape(b, wo, ho, cout)
+
+class _ConvBlocks:
+    """The convolution of a (B, W, H, Cin) input node with a
+    (kw, kh, Cin, Cout) kernel node, walked in blocks of whole images.
+
+    A block's patches fit in CONV_BLOCK_BYTES (one image per block when a
+    single image exceeds it). Each block is zero-padded into one reused
+    buffer and its patches copied into another, so neither a padded copy of
+    the whole input nor its (B*Wo*Ho, kw*kh*Cin) patch matrix ever exists.
+    Output rows are the flattened (B*Wo*Ho) positions, a block's rows
+    contiguous.
+    """
+
+    def __init__(self, x, kernel, stride, padding):
+        b, w, h, cin = x.shape
+        kw, kh, _, self.cout = kernel.shape
+        self.wo, pw0, pw1 = _conv_geometry(w, kw, stride, padding)
+        self.ho, ph0, ph1 = _conv_geometry(h, kh, stride, padding)
+        self.x, self.kernel, self.ksize, self.stride = x, kernel, (kw, kh), stride
+        self.rows, self.patch = self.wo * self.ho, kw * kh * cin
+        self.kmat = kernel.data.reshape(self.patch, self.cout)
+        self.dtype = np.result_type(x.data, kernel.data)
+        self.padded = (w + pw0 + pw1, h + ph0 + ph1, cin)
+        self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
+        step = min(b, max(1, CONV_BLOCK_BYTES // (self.rows * self.patch * x.data.itemsize)))
+        self.blocks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
+        self.padded_block = (step,) + self.padded
+        self.patch_block = (step, self.wo, self.ho, kw, kh, cin)
+
+    def row_blocks(self):
+        """The output rows of each block, as slices."""
+        return [slice(lo * self.rows, hi * self.rows) for lo, hi in self.blocks]
+
+    def patches(self):
+        """Yield (rows, cols): each block's output rows and its
+        (len(rows), kw*kh*Cin) patch matrix, in one reused buffer."""
+        kw, kh = self.ksize
+        x = self.x.data
+        pad = self.padded != x.shape[1:]
+        xp = np.zeros(self.padded_block, dtype=x.dtype) if pad else None
+        buf = np.empty(self.patch_block, dtype=x.dtype)
+        for (lo, hi), rows in zip(self.blocks, self.row_blocks()):
+            src = x[lo:hi]
+            if pad:
+                xp[: hi - lo][self.inner] = src
+                src = xp[: hi - lo]
+            cols = buf[: hi - lo]
+            np.copyto(cols, _patches(src, self.wo, self.ho, kw, kh, self.stride))
+            yield rows, cols.reshape(-1, self.patch)
+
+    def forward(self, bias, each=None):
+        """The (B*Wo*Ho, Cout) output, patches @ kernel (+ bias), computed
+        block by block; each(rows, block) runs while the block is in cache."""
+        out = np.empty((len(self.x.data) * self.rows, self.cout), dtype=self.dtype)
+        for rows, cols in self.patches():
+            blk = out[rows]
+            np.matmul(cols, self.kmat, out=blk)
+            if bias is not None:
+                blk += bias.data
+            if each is not None:
+                each(rows, blk)
+        return out
+
+    def backward(self, grad_rows):
+        """Accumulate the kernel and input gradients, block by block.
+
+        ``grad_rows(rows)`` returns the output gradient of one block's rows,
+        (len(rows), Cout). The kernel gradient re-extracts each block's
+        patches. The input gradient scatters each block's patch gradient into
+        a reused padded buffer and adds its interior to ``x.grad``.
+        """
+        x, kernel = self.x, self.kernel
+        if kernel.needs_grad:
+            blocks = self.patches()
+            gk = np.zeros((self.patch, self.cout), dtype=self.dtype)
+        else:
+            blocks = ((rows, None) for rows in self.row_blocks())
+        if x.needs_grad:
+            gcols_buf = np.empty(self.patch_block, dtype=self.dtype)
+            gxp_buf = np.empty(self.padded_block, dtype=self.dtype)
+            gx = x.grad
+        for (lo, hi), (rows, cols) in zip(self.blocks, blocks):
+            g = grad_rows(rows)
+            if kernel.needs_grad:
+                gk += cols.T @ g
+            if x.needs_grad:
+                gcols, gxp = gcols_buf[: hi - lo], gxp_buf[: hi - lo]
+                np.matmul(g, self.kmat.T, out=gcols.reshape(-1, self.patch))
+                gxp.fill(0)
+                _col2im_add(gxp, gcols, self.stride)
+                gx[lo:hi] += gxp[self.inner]
+        if kernel.needs_grad:
+            kernel.accumulate_grad(gk.reshape(kernel.shape))
+
+
+def conv2d(x, kernel, bias=None, stride=1, padding="same"):
+    """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel.
+
+    The batch is walked in blocks of whole images (see _ConvBlocks): each
+    block's patches are multiplied straight into its rows of the output. The
+    backward rule holds no patches; it extracts them again block by block.
+    """
+    if padding not in _PADDINGS:
+        raise ConfigurationError(f"unknown padding {padding!r}")
+    _check_conv("conv2d", x, kernel, bias)
+    conv = _ConvBlocks(x, kernel, stride, padding)
+    out = conv.forward(bias)
+    b = x.shape[0]
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def rule(node):
-        g = node.grad.reshape(b * rows, cout)
+        g = node.grad.reshape(b * conv.rows, conv.cout)
         if bias is not None and bias.needs_grad:
             bias.accumulate_grad(g.sum(axis=0))
-        if kernel.needs_grad:
-            patches = _patch_view(x.data, kw, kh, stride, padding)[0]
-            cols_buf = np.empty(block_shape, dtype=patches.dtype)
-            gk = np.zeros((patch, cout), dtype=np.result_type(patches, g))
-        if x.needs_grad:
-            gcols_buf = np.empty(block_shape, dtype=np.result_type(g, kmat))
-            gxp = np.zeros(geom[0], dtype=gcols_buf.dtype)
-        for lo, hi in blocks:
-            g_blk = g[lo * rows : hi * rows]
-            if kernel.needs_grad:
-                cols = cols_buf[: hi - lo]
-                np.copyto(cols, patches[lo:hi])
-                gk += cols.reshape(-1, patch).T @ g_blk
-            if x.needs_grad:
-                gcols = gcols_buf[: hi - lo]
-                np.matmul(g_blk, kmat.T, out=gcols.reshape(-1, patch))
-                _col2im_add(gxp[lo:hi], gcols, stride)
-        if kernel.needs_grad:
-            kernel.accumulate_grad(gk.reshape(kernel.shape))
-        if x.needs_grad:
-            (pw0, ph0), (w, h) = geom[1:3]
-            x.accumulate_grad(gxp[:, pw0 : pw0 + w, ph0 : ph0 + h])
+        conv.backward(lambda rows: g[rows])
 
-    return Tensor(out, parents, rule)
+    return Tensor(out.reshape(b, conv.wo, conv.ho, conv.cout), parents, rule)
+
+
+def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train, eps=1e-5):
+    """relu(batchnorm(conv2d(x, kernel, bias, 1, "same"))) as one op, with
+    the semantics of that reference composition.
+
+    The convolution runs block by block as in conv2d (see _ConvBlocks).
+    Train mode folds each block's mean and centred sum of squares into the
+    batch statistics while the block is in cache (Chan's parallel update),
+    then writes out = max(z * s + t, 0) with s = gamma / sqrt(var + eps) and
+    t = beta - mean * s. Infer mode applies the running statistics' s and t
+    to each block in cache, the composition's arithmetic, so its outputs
+    equal the composition's bitwise.
+
+    With a graph, the node holds only its output and the conv output z; the
+    rule rebuilds the normalized z block by block, takes the relu mask from
+    out > 0 and feeds each block's gradient of z straight into the conv
+    backward. Returns (out, batch_mean, batch_var) like batchnorm: the
+    statistics are None in infer mode, and the caller updates the running
+    statistics.
+    """
+    _check_conv("conv_bn_relu", x, kernel, bias)
+    c = kernel.shape[3]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ConfigurationError(
+            f"conv_bn_relu() parameter extents {gamma.shape}/{beta.shape} do not "
+            f"match channel count {c}"
+        )
+    conv = _ConvBlocks(x, kernel, 1, "same")
+    b = x.shape[0]
+    n = b * conv.rows
+    parents = (x, kernel, gamma, beta) + (() if bias is None else (bias,))
+    graph = not _no_grad_depth and any(p.needs_grad for p in parents)
+    # without a graph the output overwrites the conv output z
+    y = np.empty((n, c), dtype=conv.dtype) if graph else None
+
+    def scale_shift_relu(rows, blk):
+        out = blk if y is None else y[rows]
+        np.multiply(blk, s, out=out)
+        out += t
+        np.maximum(out, 0, out=out)
+
+    if train:
+        seen, mu, m2 = 0, 0, 0
+
+        def fold(rows, blk):
+            nonlocal seen, mu, m2
+            k = blk.shape[0]
+            blk_mu = blk.mean(axis=0)
+            d = blk - blk_mu
+            delta = blk_mu - mu
+            mu = mu + delta * (k / (seen + k))
+            m2 = m2 + np.einsum("ij,ij->j", d, d) + delta * delta * (seen * k / (seen + k))
+            seen += k
+
+        z = conv.forward(bias, fold)
+        var = m2 / n
+        inv_std = 1.0 / np.sqrt(var + eps)
+        s = gamma.data * inv_std
+        t = beta.data - mu * s
+        for rows in conv.row_blocks():
+            scale_shift_relu(rows, z[rows])
+    else:
+        mu = running_mean
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        s = gamma.data * inv_std
+        t = beta.data - running_mean * s
+        z = conv.forward(bias, scale_shift_relu)
+    if y is None:
+        y = z
+
+    def rule(node):
+        g = node.grad.reshape(n, c)
+
+        def relu_grad(rows):
+            gy = g[rows] * (y[rows] > 0)
+            return gy, (z[rows] - mu) * inv_std
+
+        sum_gy = np.zeros(c, dtype=z.dtype)
+        sum_gy_xhat = np.zeros(c, dtype=z.dtype)
+        for rows in conv.row_blocks():
+            gy, xhat = relu_grad(rows)
+            sum_gy += gy.sum(axis=0)
+            sum_gy_xhat += np.einsum("ij,ij->j", gy, xhat)
+        if gamma.needs_grad:
+            gamma.accumulate_grad(sum_gy_xhat)
+        if beta.needs_grad:
+            beta.accumulate_grad(sum_gy)
+        gbias = np.zeros(c, dtype=z.dtype)
+
+        def conv_grad(rows):
+            gz, xhat = relu_grad(rows)
+            if train:
+                # closed-form gradient through the batch statistics
+                gz -= sum_gy / n
+                gz -= xhat * (sum_gy_xhat / n)
+            gz *= s
+            gbias[...] += gz.sum(axis=0)
+            return gz
+
+        conv.backward(conv_grad)
+        if bias is not None and bias.needs_grad:
+            bias.accumulate_grad(gbias)
+
+    out = Tensor(y.reshape(b, conv.wo, conv.ho, c), parents, rule)
+    return (out, mu, var) if train else (out, None, None)
 
 
 def channel_affine(x, weight, bias=None):
@@ -587,15 +757,21 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
         gl = a * (ga - (a * ga).sum(axis=0))
         if reference.needs_grad:
             reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, u))
-        # u feeds both the weighted sum and the logits
-        gu = a[..., None] * g
-        gu += gl[..., None] * ref[:, None]
-        gu = gu.reshape(m, p, n * e)
+        # u feeds both the weighted sum (gradient a*g) and the logits
+        # (gradient gl[m, p, n] * ref[m, n, :]); the second term is folded
+        # into the GEMMs rather than built at the size of u
+        ag = (a[..., None] * g).reshape(m, p, n * e)
         if weight.needs_grad:
-            weight.accumulate_grad(xt.transpose(0, 2, 1) @ gu)
+            # two accumulations, so at most one weight-sized temporary lives
+            # beside the gradient (fullycaps' weight outweighs its u)
+            weight.accumulate_grad(xt.transpose(0, 2, 1) @ ag)
+            weight.accumulate_grad(
+                ((xt.transpose(0, 2, 1) @ gl)[..., None] * ref[:, None]).reshape(m, k, n * e))
         if caps.needs_grad:
-            gx = gu @ weight.data.transpose(0, 2, 1)  # (m, p, k)
-            del gu  # not held through the copy and the scatter
+            v = np.einsum("mkne,mne->mnk", weight.data.reshape(m, k, n, e), ref)
+            gx = ag @ weight.data.transpose(0, 2, 1)  # (m, p, k)
+            del ag  # not held through the copy and the scatter
+            gx += gl @ v
             # the scatter runs faster from the patch layout than from a view
             # that reads m at a large stride
             gcols = np.ascontiguousarray(np.moveaxis(gx.reshape(m, b, wo, ho, kw, kh, d), 0, -1))
@@ -677,9 +853,14 @@ def dropout(x, keep_prob, train, rng=None):
         return x
     if rng is None:
         raise ConfigurationError("dropout() in train mode needs an rng")
-    mask = (rng.random(x.shape) < keep_prob).astype(x.dtype) / keep_prob
+    keep = rng.random(x.shape) < keep_prob  # one byte per element
+    scale = x.dtype.type(1) / keep_prob
 
     def rule(node):
-        x.accumulate_grad(node.grad * mask)
+        gx = node.grad * keep
+        gx *= scale
+        x.accumulate_grad(gx)
 
-    return Tensor(x.data * mask, (x,), rule)
+    out = x.data * keep
+    out *= scale
+    return Tensor(out, (x,), rule)

@@ -11,7 +11,7 @@ import pytest
 
 from arcaps import selftest, tensor as T
 from arcaps.gradcheck import check_gradients
-from arcaps.selftest import softmax_probe
+from arcaps.selftest import softmax_probe, stem_probe
 from conftest import conv_blocks_of_two
 
 SEEDS = range(5)
@@ -176,6 +176,18 @@ def test_batchnorm_gradients(seed, train):
     arrays = [x, gamma, beta]
     check_gradients(
         _frozen_weight(rng, lambda ts: T.batchnorm(ts[0], ts[1], ts[2], run_m, run_v, train)[0], arrays), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("train", [True, False])
+def test_conv_bn_relu_gradients(monkeypatch, seed, train):
+    rng = np.random.default_rng(130 + seed)
+    w = int(rng.integers(4, 7))
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    arrays, stats = stem_probe(rng, (5, w, w, cin), cout, train)
+    conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same")
+    check_gradients(
+        _frozen_weight(rng, lambda ts: T.conv_bn_relu(*ts, *stats, train)[0], arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,11 +1,13 @@
 """Capsule layer semantics: oracles, trivial identities, structural invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
-from arcaps.layers import (CapsuleActivation, ConvCaps, FullyConvCaps,
+from arcaps.layers import (CapsuleActivation, ConvBlock, ConvCaps, FullyConvCaps,
                            PrimaryCaps, squash, squash_exp, uniform_init)
 from arcaps.model import ArCapsNet
 from arcaps.optim import ParameterStore
@@ -51,6 +53,33 @@ class TestSquash:
         huge = rng.standard_normal(5) * 1e4
         assert np.linalg.norm(squash(huge)) <= 1
         assert np.linalg.norm(squash_exp(huge)) <= 1
+
+
+class TestConvBlock:
+    def test_train_forward_builds_one_node_holding_two_output_sized_arrays(self, rng, node_log):
+        # conv, batchnorm and relu as one node that keeps its output and the
+        # conv output; a conv2d -> batchnorm -> relu chain keeps four
+        block = ConvBlock(ParameterStore(), "stem", 8, 16, rng)
+        x = T.leaf(rng.standard_normal((4, 24, 24, 8)).astype(np.float32), needs_grad=True)
+        node_log.clear()
+        tracemalloc.start()
+        try:
+            out = block.forward(x, train=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert node_log == [out]
+        assert held < 2.5 * out.data.nbytes, (held, out.data.nbytes)
+
+    def test_train_forward_updates_running_statistics(self, rng):
+        block = ConvBlock(ParameterStore(), "stem", 2, 3, rng)
+        x = T.leaf(rng.standard_normal((4, 5, 5, 2)).astype(np.float32) + 1)
+        _, mean, var = T.conv_bn_relu(x, block.kernel, block.bias, block.gamma, block.beta,
+                                      None, None, True)
+        block.forward(x, train=True)
+        assert block.running_mean.dtype == np.float32
+        assert np.allclose(block.running_mean.data, 0.1 * mean, rtol=1e-6)
+        assert np.allclose(block.running_var.data, 0.9 + 0.1 * var, rtol=1e-6)
 
 
 class TestCapsuleActivation:

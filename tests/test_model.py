@@ -352,6 +352,16 @@ def test_float32_train_step_graph_is_float32(rng, tiny_config):
     assert not wrong, f"{len(wrong)} of {len(nodes)} nodes are not float32: {wrong[:3]}"
 
 
+def test_default_train_step_builds_47_nodes(rng, node_log):
+    # one conv_bn_relu node per stem block, where conv2d, batchnorm and relu
+    # took three; perfbench's tensor.nodes counts the same nodes
+    net = ArCapsNet(ModelConfig(), seed=0)
+    images = rng.random((2, 28, 28, 1), dtype=np.float32)
+    node_log.clear()
+    net.loss(images, np.array([3, 7]), train=True, rng=np.random.default_rng(0))
+    assert len(node_log) == 47
+
+
 def test_float32_forward_without_graph_is_float32(rng, tiny_config, node_log):
     net = ArCapsNet(tiny_config, seed=0)
     images = rng.random((3, 8, 8, 1), dtype=np.float32)

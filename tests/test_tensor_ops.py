@@ -1,5 +1,6 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
+import contextlib
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
-from arcaps.selftest import routing_weights
+from arcaps.selftest import routing_weights, stem_composition, stem_oracle_gap, stem_probe
 from conftest import conv_blocks_of_two, routing_logits
 
 
@@ -65,6 +66,24 @@ class TestConv2d:
             tracemalloc.stop()
         assert x.grad.shape == x.shape and np.any(kern.grad != 0)
         assert peak < patch_matrix, (peak, patch_matrix)
+
+    def test_input_gradient_adds_to_an_existing_one(self, rng, monkeypatch):
+        # x feeds the convolution and a second op: both gradients add up
+        x = rng.standard_normal((5, 5, 5, 2))
+        kern = rng.standard_normal((3, 3, 2, 3))
+        marker = T.leaf(rng.standard_normal((5, 3, 3, 3)))
+        conv_blocks_of_two(monkeypatch, x.shape, kern.shape, 2, "same")
+        grads = []
+        for conv_first in (True, False):
+            xt = T.leaf(x, needs_grad=True)
+            conv = T.sum_all(T.mul(T.conv2d(xt, T.leaf(kern), None, 2, "same"), marker))
+            square = T.sum_all(T.square(xt))
+            T.backward(T.add(conv, square) if conv_first else T.add(square, conv))
+            grads.append(xt.grad)
+        conv_only = T.leaf(x, needs_grad=True)
+        T.backward(T.sum_all(T.mul(T.conv2d(conv_only, T.leaf(kern), None, 2, "same"), marker)))
+        for g in grads:
+            assert np.allclose(g, conv_only.grad + 2 * x, rtol=1e-12, atol=1e-12)
 
     def test_output_extents(self):
         x = T.leaf(np.zeros((1, 28, 28, 1), dtype=np.float32))
@@ -221,6 +240,61 @@ class TestBatchnorm:
         assert np.allclose(out.data, x / np.sqrt(1 + 1e-5), atol=1e-7)
 
 
+STEM_ORACLE_CASES = [(train, blocks, x_grad) for train in (True, False)
+                     for blocks in (1, 3) for x_grad in (True, False)]
+
+
+class TestConvBnRelu:
+    @pytest.mark.parametrize("train,blocks,x_grad", STEM_ORACLE_CASES, ids=[
+        f"{'train' if train else 'infer'}-{blocks}block{'s' if blocks > 1 else ''}"
+        f"{'' if x_grad else '-no-x-grad'}" for train, blocks, x_grad in STEM_ORACLE_CASES])
+    def test_matches_composition(self, monkeypatch, train, blocks, x_grad):
+        # output, batch statistics and the gradients of x, kernel, bias,
+        # gamma and beta against conv2d -> batchnorm -> relu, in float64
+        arrays, stats = stem_probe(np.random.default_rng(40), (5, 6, 5, 3), 4, train)
+        if blocks > 1:  # five images in blocks of two, the last one ragged
+            conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same")
+        assert stem_oracle_gap(arrays, stats, train, x_grad) < 1e-12
+
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_infer_forward_is_the_composition_bitwise(self, rng, monkeypatch, graph):
+        arrays, stats = stem_probe(rng, (5, 6, 6, 3), 4, False)
+        arrays = [a.astype(np.float32) for a in arrays]
+        stats = [a.astype(np.float32) for a in stats]
+        conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same", 4)
+        leaves = [T.leaf(a, needs_grad=graph) for a in arrays]
+        with contextlib.ExitStack() as stack:
+            if not graph:
+                stack.enter_context(T.no_grad())
+            fused = T.conv_bn_relu(*leaves, *stats, False)[0].data
+            composed = stem_composition(*leaves, *stats, False)[0].data
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused, composed)
+
+    def test_train_statistics_of_many_blocks(self, rng, monkeypatch):
+        # a small spread far from zero, over blocks of different means: a
+        # variance taken as E[z^2] - mean^2 would lose every digit here
+        x = 1e6 + 1e-3 * (rng.standard_normal((6, 4, 4, 1)) + np.arange(6)[:, None, None, None])
+        kernel = np.zeros((3, 3, 1, 1))
+        kernel[1, 1] = 1.0
+        conv_blocks_of_two(monkeypatch, x.shape, kernel.shape, 1, "same")
+        ones = T.leaf(np.ones(1))
+        _, mean, var = T.conv_bn_relu(T.leaf(x), T.leaf(kernel), None, ones,
+                                      T.leaf(np.zeros(1)), None, None, True)
+        assert np.allclose(mean, x.mean(), rtol=1e-12, atol=0)
+        assert np.allclose(var, x.var(), rtol=1e-6, atol=0)
+
+    def test_parameter_mismatch_rejected(self):
+        x = T.leaf(np.zeros((1, 4, 4, 2)))
+        k = T.leaf(np.zeros((3, 3, 2, 3)))
+        with pytest.raises(ConfigurationError, match="conv_bn_relu"):
+            T.conv_bn_relu(x, k, None, T.leaf(np.ones(2)), T.leaf(np.zeros(3)),
+                           None, None, True)
+        with pytest.raises(ConfigurationError, match="channel mismatch"):
+            T.conv_bn_relu(x, T.leaf(np.zeros((3, 3, 1, 3))), None, T.leaf(np.ones(3)),
+                           T.leaf(np.zeros(3)), None, None, True)
+
+
 class TestDropout:
     def test_keep_prob_one_is_identity(self, rng):
         x = rng.standard_normal((5, 5))
@@ -244,6 +318,13 @@ class TestDropout:
         survivors = np.count_nonzero(out) / x.size
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.mean() - x.mean()) / x.mean() < 0.01
+
+    def test_rule_holds_a_boolean_mask(self, rng):
+        x = T.leaf(rng.standard_normal((4, 5)).astype(np.float32), needs_grad=True)
+        out = T.dropout(x, 0.6, True, np.random.default_rng(2))
+        saved = [c.cell_contents for c in out.backward_rule.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in saved] == [np.bool_]
 
     def test_invalid_keep_prob(self):
         with pytest.raises(ConfigurationError):
