@@ -168,6 +168,7 @@ class ArCapsNet:
         for block in self.stem:
             x = block.forward(x, train)
         caps = self.primary.forward(x, train)
+        del x  # frees the stem output under no_grad; a graph holds it anyway
         for layer in self.caps_layers:
             caps = layer.forward(caps, train, rng)
         caps = self.fully.forward(caps, train, rng)

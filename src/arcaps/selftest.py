@@ -182,7 +182,7 @@ def stem_oracle_gap(arrays, stats, train, x_grad=True):
 def _stem_oracle_check():
     # 3 images of 5x5 whose 3x3 patches each take just under half the block
     # budget: the convolution runs in two blocks, the last one ragged
-    wide = T.CONV_BLOCK_BYTES // (2 * 25 * 9 * 8)
+    wide = T.BLOCK_BYTES // (2 * 25 * 9 * 8)
     worst = 0.0
     for train in (True, False):
         arrays, stats = stem_probe(_rng(24), (3, 5, 5, wide), 4, train)
@@ -248,7 +248,7 @@ def _conv_oracle_check():
     rng = _rng(21)
     # the last case spans several blocks, the last one ragged: each image's
     # 5x5 x 3x3 patches of float64 take just under half the block budget
-    wide = T.CONV_BLOCK_BYTES // (2 * 25 * 9 * 8)
+    wide = T.BLOCK_BYTES // (2 * 25 * 9 * 8)
     worst = 0.0
     for k, stride, padding, shape, cout in (
             (3, 1, "same", (1, 5, 5, 2), 3), (3, 2, "same", (1, 5, 5, 2), 3),
@@ -320,6 +320,32 @@ def _routing_oracle_check():
     return worst
 
 
+def _route_blocks_check():
+    """transform_route of 3 images at the real block budget, in blocks of
+    two and one, against each image routed alone (one block each, bitwise)
+    and against the loop oracle."""
+    rng = _rng(25)
+    # 4x4 capsules, 3x3 "same" at stride 2: 4 positions per image, whose
+    # float64 patch and u rows take just under half the block budget
+    b, w, m, n, e = 3, 4, 2, 2, 1
+    d = (T.BLOCK_BYTES // (2 * 4 * m * 8) - n * e) // 9
+    caps = rng.standard_normal((b, w, w, d, m))
+    weight = rng.standard_normal((m, 9 * d, n * e)) / np.sqrt(9 * d)
+    ref = rng.standard_normal((n, e, m))
+
+    def route(x):
+        return T.transform_route(T.leaf(x), T.leaf(weight), T.leaf(ref), (3, 3), 2, "same").data
+
+    blocked = route(caps)
+    if not np.array_equal(blocked, np.concatenate([route(caps[i:i + 1]) for i in range(b)])):
+        raise ComputationError("transform_route blocks differ from one-image runs")
+    stacks = reference.conv_transform_loops(caps, oracle_banks(weight, (3, 3), e), 2, "same")
+    worst = float(np.max(np.abs(blocked - reference.attention_route_loops(stacks, ref))))
+    if worst > 1e-6:
+        raise ComputationError(f"blocked transform_route oracle mismatch: {worst:.2e}")
+    return worst
+
+
 def _scalar_examples():
     s = squash(np.array([3.0, 4.0]))
     if np.max(np.abs(s - np.array([0.57692308, 0.76923077]))) > 1e-5:
@@ -375,6 +401,7 @@ def run(report=print):
     for label, fn in (("conv2d vs loop oracle", _conv_oracle_check),
                       ("conv_bn_relu vs conv2d+batchnorm+relu", _stem_oracle_check),
                       ("attention routing vs loop oracle", _routing_oracle_check),
+                      ("transform_route blocks vs one block", _route_blocks_check),
                       ("scalar reference values", _scalar_examples),
                       ("align vector vs Jacobi oracle", _align_vector_check),
                       ("no_grad forward equals graph forward", _no_grad_check),

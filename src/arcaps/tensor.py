@@ -13,7 +13,9 @@ between batches; their gradients accumulate across graphs until zeroed.
 
 Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
-intermediate array as soon as the next op has consumed it.
+intermediate array as soon as the next op has consumed it. The ops that
+walk the batch in blocks of images then reuse block-sized buffers in
+place of the whole-batch arrays only a backward rule would read.
 
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
@@ -33,9 +35,10 @@ from .errors import ComputationError, ConfigurationError
 
 MAX_RANK = 5
 
-# conv2d walks the batch in blocks of whole images whose patch matrix fits
-# in this many bytes (one image per block when a single image exceeds it)
-CONV_BLOCK_BYTES = 2 << 20
+# conv2d, conv_bn_relu, transform_route and channel_affine walk the batch in
+# blocks of whole images whose working arrays fit in this many bytes (one
+# image per block when a single image exceeds it)
+BLOCK_BYTES = 2 << 20
 
 # depth of open no_grad blocks; graphs are built only at depth 0
 _no_grad_depth = 0
@@ -366,6 +369,14 @@ def _conv_geometry(size, k, stride, padding):
     return out, 0, 0
 
 
+def _image_blocks(batch, bytes_per_image):
+    """(lo, hi) bounds of consecutive blocks of whole images: as many images
+    per block as fit in BLOCK_BYTES, and at least one. The first block is
+    the largest."""
+    step = min(batch, max(1, BLOCK_BYTES // bytes_per_image))
+    return [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
+
 def _patches(xp, wo, ho, kw, kh, stride):
     """(B, Wo, Ho, kw, kh, *tail) patch view of an already padded
     (B, Wp, Hp, *tail) array."""
@@ -376,25 +387,6 @@ def _patches(xp, wo, ho, kw, kh, stride):
         strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2]) + s[3:],
         writeable=False,
     )
-
-
-def _patch_view(x, kw, kh, stride, padding):
-    """Patch view of a (B, W, H, *tail) array, copying nothing but the padding.
-
-    Returns (view, geometry) where view has shape (B, Wo, Ho, kw, kh, *tail)
-    over the zero-padded input and geometry carries the padding bookkeeping
-    that _col2im needs to reverse the layout.
-    """
-    w, h = x.shape[1:3]
-    wo, pw0, pw1 = _conv_geometry(w, kw, stride, padding)
-    ho, ph0, ph1 = _conv_geometry(h, kh, stride, padding)
-    if pw0 or pw1 or ph0 or ph1:
-        pad = [(0, 0), (pw0, pw1), (ph0, ph1)] + [(0, 0)] * (x.ndim - 3)
-        xp = np.pad(x, pad)
-    else:
-        xp = x
-    geom = (xp.shape, (pw0, ph0), (w, h), stride)
-    return _patches(xp, wo, ho, kw, kh, stride), geom
 
 
 def _col2im_add(gx, gcols, stride):
@@ -408,12 +400,38 @@ def _col2im_add(gx, gcols, stride):
             gx[:, i:wstop:stride, j:hstop:stride] += gcols[:, :, :, i, j]
 
 
-def _col2im(gcols, geom):
-    """Scatter-add patch gradients back to the (unpadded) input layout."""
-    padded_shape, (pw0, ph0), (w, h), stride = geom
-    gx = np.zeros(padded_shape, dtype=gcols.dtype)
-    _col2im_add(gx, gcols, stride)
-    return gx[:, pw0 : pw0 + w, ph0 : ph0 + h]
+class _Windows:
+    """The (kw, kh) windows at ``stride`` and ``padding`` over a
+    (B, W, H, *tail) input: output extents (wo, ho), the padded per-image
+    shape and the slice of a padded array that holds the input."""
+
+    def __init__(self, shape, ksize, stride, padding):
+        w, h = shape[1:3]
+        self.ksize, self.stride = ksize, stride
+        self.wo, pw0, pw1 = _conv_geometry(w, ksize[0], stride, padding)
+        self.ho, ph0, ph1 = _conv_geometry(h, ksize[1], stride, padding)
+        self.padded = (w + pw0 + pw1, h + ph0 + ph1) + tuple(shape[3:])
+        self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
+
+    def patches(self, x, blocks):
+        """Yield the (hi - lo, Wo, Ho, kw, kh, *tail) patch view of each
+        (lo, hi) block of images of x. A block is zero-padded into one reused
+        buffer, so no padded copy of the whole input exists."""
+        pad = self.padded != x.shape[1:]
+        xp = np.zeros((blocks[0][1],) + self.padded, dtype=x.dtype) if pad else None
+        for lo, hi in blocks:
+            src = x[lo:hi]
+            if pad:
+                xp[: hi - lo][self.inner] = src
+                src = xp[: hi - lo]
+            yield _patches(src, self.wo, self.ho, *self.ksize, self.stride)
+
+    def col2im(self, gcols):
+        """Scatter-add (B, Wo, Ho, kw, kh, *tail) patch gradients back to
+        the (unpadded) input layout."""
+        gx = np.zeros(gcols.shape[:1] + self.padded, dtype=gcols.dtype)
+        _col2im_add(gx, gcols, self.stride)
+        return gx[self.inner]
 
 
 def _check_conv(op, x, kernel, bias):
@@ -435,28 +453,24 @@ class _ConvBlocks:
     """The convolution of a (B, W, H, Cin) input node with a
     (kw, kh, Cin, Cout) kernel node, walked in blocks of whole images.
 
-    A block's patches fit in CONV_BLOCK_BYTES (one image per block when a
-    single image exceeds it). Each block is zero-padded into one reused
-    buffer and its patches copied into another, so neither a padded copy of
-    the whole input nor its (B*Wo*Ho, kw*kh*Cin) patch matrix ever exists.
-    Output rows are the flattened (B*Wo*Ho) positions, a block's rows
-    contiguous.
+    A block's patches fit in BLOCK_BYTES (see _image_blocks). Each block is
+    zero-padded into one reused buffer and its patches copied into another,
+    so neither a padded copy of the whole input nor its
+    (B*Wo*Ho, kw*kh*Cin) patch matrix ever exists. Output rows are the
+    flattened (B*Wo*Ho) positions, a block's rows contiguous.
     """
 
     def __init__(self, x, kernel, stride, padding):
-        b, w, h, cin = x.shape
-        kw, kh, _, self.cout = kernel.shape
-        self.wo, pw0, pw1 = _conv_geometry(w, kw, stride, padding)
-        self.ho, ph0, ph1 = _conv_geometry(h, kh, stride, padding)
-        self.x, self.kernel, self.ksize, self.stride = x, kernel, (kw, kh), stride
+        kw, kh, cin, self.cout = kernel.shape
+        self.win = _Windows(x.shape, (kw, kh), stride, padding)
+        self.wo, self.ho = self.win.wo, self.win.ho
+        self.x, self.kernel = x, kernel
         self.rows, self.patch = self.wo * self.ho, kw * kh * cin
         self.kmat = kernel.data.reshape(self.patch, self.cout)
         self.dtype = np.result_type(x.data, kernel.data)
-        self.padded = (w + pw0 + pw1, h + ph0 + ph1, cin)
-        self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
-        step = min(b, max(1, CONV_BLOCK_BYTES // (self.rows * self.patch * x.data.itemsize)))
-        self.blocks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
-        self.padded_block = (step,) + self.padded
+        self.blocks = _image_blocks(len(x.data), self.rows * self.patch * x.data.itemsize)
+        step = self.blocks[0][1]
+        self.padded_block = (step,) + self.win.padded
         self.patch_block = (step, self.wo, self.ho, kw, kh, cin)
 
     def row_blocks(self):
@@ -466,18 +480,11 @@ class _ConvBlocks:
     def patches(self):
         """Yield (rows, cols): each block's output rows and its
         (len(rows), kw*kh*Cin) patch matrix, in one reused buffer."""
-        kw, kh = self.ksize
-        x = self.x.data
-        pad = self.padded != x.shape[1:]
-        xp = np.zeros(self.padded_block, dtype=x.dtype) if pad else None
-        buf = np.empty(self.patch_block, dtype=x.dtype)
-        for (lo, hi), rows in zip(self.blocks, self.row_blocks()):
-            src = x[lo:hi]
-            if pad:
-                xp[: hi - lo][self.inner] = src
-                src = xp[: hi - lo]
+        buf = np.empty(self.patch_block, dtype=self.x.data.dtype)
+        views = self.win.patches(self.x.data, self.blocks)
+        for (lo, hi), rows, view in zip(self.blocks, self.row_blocks(), views):
             cols = buf[: hi - lo]
-            np.copyto(cols, _patches(src, self.wo, self.ho, kw, kh, self.stride))
+            np.copyto(cols, view)
             yield rows, cols.reshape(-1, self.patch)
 
     def forward(self, bias, each=None):
@@ -519,8 +526,8 @@ class _ConvBlocks:
                 gcols, gxp = gcols_buf[: hi - lo], gxp_buf[: hi - lo]
                 np.matmul(g, self.kmat.T, out=gcols.reshape(-1, self.patch))
                 gxp.fill(0)
-                _col2im_add(gxp, gcols, self.stride)
-                gx[lo:hi] += gxp[self.inner]
+                _col2im_add(gxp, gcols, self.win.stride)
+                gx[lo:hi] += gxp[self.win.inner]
         if kernel.needs_grad:
             kernel.accumulate_grad(gk.reshape(kernel.shape))
 
@@ -663,6 +670,12 @@ def channel_affine(x, weight, bias=None):
     out[..., e, m] = sum_k x[..., k, m] * weight[m, k, e] (+ bias[m, e])
 
     This is the per-channel 1x1 affine of the capsule activation (K = D).
+    The batch is walked in blocks of whole images (see _image_blocks): each
+    block is copied channel first into the GEMM's (M, rows, K) operand,
+    multiplied into a block-sized buffer, shifted by the bias and written
+    into its images of the output. With a graph the blocks fill one
+    (M, B*W*H, K) operand, which the rule keeps; without one they reuse a
+    block-sized operand, so the output is the only whole-batch array.
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
@@ -679,13 +692,23 @@ def channel_affine(x, weight, bias=None):
     if bias is not None and bias.shape != (m, e):
         raise ConfigurationError(f"channel_affine() bias shape {bias.shape} != ({m}, {e})")
 
-    xt = np.ascontiguousarray(np.moveaxis(x.data, -1, 0)).reshape(m, b * w * h, k)
-    out = xt @ weight.data  # (m, bwh, e)
-    if bias is not None:
-        out += bias.data[:, None, :]
-    out = np.moveaxis(out.reshape(m, b, w, h, e), 0, -1)
-
     parents = (x, weight) if bias is None else (x, weight, bias)
+    graph = not _no_grad_depth and any(p.needs_grad for p in parents)
+    rows = w * h
+    blocks = _image_blocks(b, rows * m * (k + e) * x.data.itemsize)
+    step = blocks[0][1] * rows
+    xt = np.empty((m, b * rows if graph else step, k), dtype=x.dtype)
+    y = np.empty((m, step, e), dtype=np.result_type(x.data, weight.data))
+    out = np.empty((b, w, h, e, m), dtype=y.dtype)
+    for lo, hi in blocks:
+        nb = hi - lo
+        off = lo * rows if graph else 0
+        bxt, by = xt[:, off:off + nb * rows], y[:, : nb * rows]
+        np.copyto(bxt.reshape(m, nb, w, h, k), np.moveaxis(x.data[lo:hi], -1, 0))
+        np.matmul(bxt, weight.data, out=by)
+        if bias is not None:
+            by += bias.data[:, None, :]
+        np.copyto(out[lo:hi], np.moveaxis(by.reshape(m, nb, w, h, e), 0, -1))
 
     def rule(node):
         gt = np.ascontiguousarray(np.moveaxis(node.grad, -1, 0)).reshape(m, b * w * h, e)
@@ -697,7 +720,7 @@ def channel_affine(x, weight, bias=None):
             gx = gt @ weight.data.transpose(0, 2, 1)  # (m, bwh, k)
             x.accumulate_grad(np.moveaxis(gx.reshape(m, b, w, h, k), 0, -1))
 
-    return Tensor(np.ascontiguousarray(out), parents, rule)
+    return Tensor(out, parents, rule)
 
 
 def transform_route(caps, weight, reference, ksize, stride, padding):
@@ -716,10 +739,16 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
       a[:, p, n]     = softmax over m of the logits
       out[p, :, n]   = sum_m a[m, p, n] * u[m, p, n]
 
-    The patches are copied once, into the GEMM's (M, P, K) operand with
-    P = B*Wo*Ho, and u stays in its (M, P, N, E) layout, so every sum over
-    input channels reduces the leading axis. Returns the pre-activation
-    capsules (B, Wo, Ho, E, N).
+    The batch is walked in blocks of whole images (see _image_blocks). Each
+    block is zero-padded into one reused buffer, its patches are copied
+    once, channel first, into the GEMM's (M, rows, K) operand, and its u
+    stays in the (M, rows, N, E) layout, so every sum over input channels
+    reduces the leading axis; the weighted sum goes through a block-sized
+    buffer into the block's rows of the output. With a graph the blocks
+    fill the whole-batch operand (M, P, K), u (M, P, N, E) and a (M, P, N),
+    with P = B*Wo*Ho, which the rule keeps; without one they reuse
+    block-sized buffers, so the output is the only whole-batch array.
+    Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
     if padding not in _PADDINGS:
         raise ConfigurationError(f"unknown padding {padding!r}")
@@ -729,7 +758,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             f"reference, got {caps.shape}, {weight.shape} and {reference.shape}"
         )
     kw, kh = ksize
-    d, m = caps.shape[3:]
+    b, _, _, d, m = caps.shape
     k = kw * kh * d
     n, e = reference.shape[:2]
     if weight.shape != (m, k, n * e) or reference.shape[2] != m:
@@ -737,18 +766,41 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             f"transform_route() weight {weight.shape} and reference {reference.shape} do "
             f"not match {ksize} patches of {caps.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
-    view, geom = _patch_view(caps.data, kw, kh, stride, padding)
-    b, wo, ho = view.shape[:3]
-    p = b * wo * ho
-    xt = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(m, p, k)
-    u = (xt @ weight.data).reshape(m, p, n, e)
+    win = _Windows(caps.shape, ksize, stride, padding)
+    wo, ho = win.wo, win.ho
+    rows = wo * ho
+    p = b * rows
+    parents = (caps, weight, reference)
+    graph = not _no_grad_depth and any(t.needs_grad for t in parents)
+    blocks = _image_blocks(b, rows * m * (k + n * e) * caps.data.itemsize)
+    span = p if graph else blocks[0][1] * rows
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
-    logits = np.einsum("mpne,mne->mpn", u, ref)
-    if not np.all(np.isfinite(logits)):
-        raise ComputationError("transform_route() produced non-finite routing logits")
-    a = np.exp(logits - logits.max(axis=0))
-    a /= a.sum(axis=0)
-    out = np.einsum("mpn,mpne->pne", a, u)
+    xt = np.empty((m, span, k), dtype=caps.dtype)
+    u = np.empty((m, span, n * e), dtype=np.result_type(caps.data, weight.data))
+    routed = np.result_type(u, ref)
+    a = np.empty((m, p, n), dtype=routed) if graph else None
+    # einsum writes the (rows, N, E) weighted sum about 4x faster into a
+    # contiguous buffer than into the output's transposed view
+    wsum = np.empty((blocks[0][1] * rows, n, e), dtype=routed)
+    out = np.empty((p, e, n), dtype=routed)
+    for (lo, hi), view in zip(blocks, win.patches(caps.data, blocks)):
+        nb = hi - lo
+        off = lo * rows if graph else 0
+        bxt, bu = xt[:, off:off + nb * rows], u[:, off:off + nb * rows]
+        np.copyto(bxt.reshape(m, nb, wo, ho, kw, kh, d), np.moveaxis(view, -1, 0))
+        np.matmul(bxt, weight.data, out=bu)
+        bu = bu.reshape(m, nb * rows, n, e)
+        logits = np.einsum("mpne,mne->mpn", bu, ref)
+        if not np.all(np.isfinite(logits)):
+            raise ComputationError("transform_route() produced non-finite routing logits")
+        ba = logits if a is None else a[:, lo * rows:hi * rows]
+        np.subtract(logits, logits.max(axis=0), out=ba)
+        np.exp(ba, out=ba)
+        ba /= ba.sum(axis=0)
+        bsum = wsum[: nb * rows]
+        np.einsum("mpn,mpne->pne", ba, bu, out=bsum)
+        np.copyto(out[lo * rows:hi * rows], bsum.transpose(0, 2, 1))
+    u = u.reshape(m, span, n, e)
 
     def rule(node):
         g = np.ascontiguousarray(node.grad.reshape(p, e, n).transpose(0, 2, 1))
@@ -776,10 +828,9 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             # that reads m at a large stride
             gcols = np.ascontiguousarray(np.moveaxis(gx.reshape(m, b, wo, ho, kw, kh, d), 0, -1))
             del gx
-            caps.accumulate_grad(_col2im(gcols, geom))
+            caps.accumulate_grad(win.col2im(gcols))
 
-    pre = out.reshape(b, wo, ho, n, e).transpose(0, 1, 2, 4, 3)
-    return Tensor(np.ascontiguousarray(pre), (caps, weight, reference), rule)
+    return Tensor(out.reshape(b, wo, ho, e, n), parents, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,22 @@ def transform_stacks(layer, u):
     return [stacked[..., n, :] for n in range(layer.channels)]
 
 
-def conv_blocks_of_two(monkeypatch, x_shape, kernel_shape, stride, padding, itemsize=8):
-    """Shrink conv2d's block budget to the patches of two images of ``x_shape``,
-    so a batch of more than two spans several blocks."""
-    kw, kh, cin, _ = kernel_shape
-    wo = T._conv_geometry(x_shape[1], kw, stride, padding)[0]
-    ho = T._conv_geometry(x_shape[2], kh, stride, padding)[0]
-    monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 2 * wo * ho * kw * kh * cin * itemsize)
+def blocks_of_two(monkeypatch):
+    """Shrink the block budget of every blocked op (conv2d, conv_bn_relu,
+    transform_route, channel_affine) to two of its images, so a batch of
+    more than two spans several blocks. Returns the list that records the
+    (lo, hi) blocks of each op call, in call order."""
+    walked = []
+    image_blocks = T._image_blocks
+    monkeypatch.setattr(T, "BLOCK_BYTES", T.BLOCK_BYTES)  # restored on teardown
+
+    def two_images(batch, bytes_per_image):
+        T.BLOCK_BYTES = 2 * bytes_per_image
+        walked.append(image_blocks(batch, bytes_per_image))
+        return walked[-1]
+
+    monkeypatch.setattr(T, "_image_blocks", two_images)
+    return walked
 
 
 def routing_logits(x, ref):

@@ -12,7 +12,7 @@ import pytest
 from arcaps import selftest, tensor as T
 from arcaps.gradcheck import check_gradients
 from arcaps.selftest import softmax_probe, stem_probe
-from conftest import conv_blocks_of_two
+from conftest import blocks_of_two
 
 SEEDS = range(5)
 
@@ -45,7 +45,7 @@ def test_conv2d_gradients(monkeypatch, seed, stride, padding, batch):
     k = rng.standard_normal((3, 3, cin, cout)) * 0.5
     b = rng.standard_normal(cout) * 0.1
     arrays = [x, k, b]
-    conv_blocks_of_two(monkeypatch, x.shape, k.shape, stride, padding)
+    blocks_of_two(monkeypatch)
     check_gradients(
         _frozen_weight(rng, lambda ts: T.conv2d(ts[0], ts[1], ts[2], stride, padding), arrays), arrays)
 
@@ -65,11 +65,18 @@ def test_channelwise_dot3d_gradients(seed):
                                                          *PATCHES_ARE_INPUT), arrays), arrays)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_channel_affine_gradients(seed):
+# (seed, batch): the batch of five runs in blocks of two, the last one ragged
+BLOCKED_CASES = [(seed, 0) for seed in SEEDS] + [(seed, 5) for seed in SEEDS]
+BLOCKED_IDS = [f"b{batch}-{seed}" if batch else str(seed) for seed, batch in BLOCKED_CASES]
+
+
+@pytest.mark.parametrize("seed,batch", BLOCKED_CASES, ids=BLOCKED_IDS)
+def test_channel_affine_gradients(monkeypatch, seed, batch):
     rng = np.random.default_rng(20 + seed)
     k, m, e = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
-    x = rng.standard_normal((2, 2, 3, k, m))
+    x = rng.standard_normal((batch or 2, 2, 3, k, m))
+    if batch:
+        blocks_of_two(monkeypatch)
     w = rng.standard_normal((m, k, e)) * 0.5
     b = rng.standard_normal((m, e)) * 0.1
     arrays = [x, w, b]
@@ -87,8 +94,8 @@ TRANSFORM_ROUTE_GEOMETRIES = [((2, 2, 3), (1, 1), 1, "valid"),
                               ((2, 3, 3), (3, 3), 1, "valid")]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_transform_route_gradients(seed):
+@pytest.mark.parametrize("seed,batch", BLOCKED_CASES, ids=BLOCKED_IDS)
+def test_transform_route_gradients(monkeypatch, seed, batch):
     # patch extraction, the transform GEMM and routing, with the patch
     # gradient scattered back to the input capsules
     shape, ksize, stride, padding = TRANSFORM_ROUTE_GEOMETRIES[seed]
@@ -96,6 +103,9 @@ def test_transform_route_gradients(seed):
     d, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
     n, e = int(rng.integers(1, 4)), int(rng.integers(2, 5))
     taps = ksize[0] * ksize[1]
+    if batch:
+        shape = (batch,) + shape[1:]
+        blocks_of_two(monkeypatch)
     caps = rng.standard_normal(shape + (d, m))
     w = rng.standard_normal((m, taps * d, n * e)) * 0.5 / np.sqrt(taps)
     ref = rng.standard_normal((n, e, m))
@@ -185,7 +195,7 @@ def test_conv_bn_relu_gradients(monkeypatch, seed, train):
     w = int(rng.integers(4, 7))
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     arrays, stats = stem_probe(rng, (5, w, w, cin), cout, train)
-    conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same")
+    blocks_of_two(monkeypatch)
     check_gradients(
         _frozen_weight(rng, lambda ts: T.conv_bn_relu(*ts, *stats, train)[0], arrays), arrays)
 

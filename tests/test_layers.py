@@ -1,5 +1,6 @@
 """Capsule layer semantics: oracles, trivial identities, structural invariants."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from arcaps.model import ArCapsNet
 from arcaps.optim import ParameterStore
 from arcaps.selftest import routing_weights
 
-from conftest import layer_banks, pre_activation, transform_stacks
+from conftest import blocks_of_two, layer_banks, pre_activation, transform_stacks
 
 
 def make_conv_caps(rng, in_dim=3, in_ch=3, dim=4, channels=2, stride=1,
@@ -370,6 +371,24 @@ class TestConvCaps:
                            match=f"^{layer}: transform_route\\(\\) produced non-finite"), \
                 np.errstate(invalid="ignore"):
             net.forward(rng.random((2, 8, 8, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_routing_failure_in_the_last_block_names_the_layer(self, rng, monkeypatch,
+                                                               tiny_config, graph):
+        # five images in blocks of two: only the last image, alone in the
+        # ragged last block, has non-finite routing logits
+        net = ArCapsNet(tiny_config, seed=0)
+        images = rng.random((5, 8, 8, 1), dtype=np.float32)
+        images[-1, 3, 3, 0] = np.nan
+        walked = blocks_of_two(monkeypatch)
+        with contextlib.ExitStack() as stack:
+            if not graph:
+                stack.enter_context(T.no_grad())
+            with pytest.raises(ComputationError, match="^convcaps0: transform_route\\(\\) "
+                               "produced non-finite routing logits$"), \
+                    np.errstate(invalid="ignore"):
+                net.forward(images)
+        assert walked[-1] == [(0, 2), (2, 4), (4, 5)]
 
 
 class TestFullyConvCaps:

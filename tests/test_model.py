@@ -1,5 +1,6 @@
 """Model assembly, losses, parameter counting, checkpoint round-trips."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,26 @@ def test_float32_forward_without_graph_is_float32(rng, tiny_config, node_log):
     wrong = [n for n in node_log if n.dtype != np.float32]
     assert node_log and not wrong, f"{len(wrong)} of {len(node_log)} nodes are not float32"
     assert all(n.parents == () and n.backward_rule is None for n in node_log)
+
+
+def test_no_grad_forward_frees_the_stem_output_before_fullycaps(rng, tiny_config):
+    net = ArCapsNet(tiny_config, seed=0)
+    stem_out, alive = [], []
+    stem_forward, fully_forward = net.stem[-1].forward, net.fully.forward
+
+    def record_stem(x, train):
+        out = stem_forward(x, train)
+        stem_out.append(weakref.ref(out.data))
+        return out
+
+    def check_then_route(caps, train, rng=None):
+        alive.append(stem_out[0]() is not None)
+        return fully_forward(caps, train, rng)
+
+    net.stem[-1].forward, net.fully.forward = record_stem, check_then_route
+    with T.no_grad():
+        net.forward(rng.random((3, 8, 8, 1), dtype=np.float32))
+    assert alive == [False]
 
 
 def test_total_loss_nonnegative(rng, tiny_config):

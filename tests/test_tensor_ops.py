@@ -9,8 +9,9 @@ import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
-from arcaps.selftest import routing_weights, stem_composition, stem_oracle_gap, stem_probe
-from conftest import conv_blocks_of_two, routing_logits
+from arcaps.selftest import (oracle_banks, routing_weights, stem_composition,
+                             stem_oracle_gap, stem_probe)
+from conftest import blocks_of_two, routing_logits
 
 
 CONV_ORACLE_CASES = [
@@ -43,7 +44,7 @@ class TestConv2d:
         x = rng.standard_normal((batch, 5, 5, 2))
         kern = rng.standard_normal((k, k, 2, 3))
         bias = rng.standard_normal(3)
-        conv_blocks_of_two(monkeypatch, x.shape, kern.shape, stride, padding)
+        blocks_of_two(monkeypatch)
         fast = T.conv2d(T.leaf(x), T.leaf(kern), T.leaf(bias), stride, padding).data
         slow = reference.conv2d_loops(x, kern, bias, stride, padding)
         assert np.max(np.abs(fast - slow)) < 1e-6
@@ -52,7 +53,7 @@ class TestConv2d:
         # 5x5 taps over 16 channels: one image's patches are 25x its input
         w, k, cin, cout = 32, 5, 16, 4
         per_image = w * w * k * k * cin * 4
-        batch = -(-8 * T.CONV_BLOCK_BYTES // per_image) + 1
+        batch = -(-8 * T.BLOCK_BYTES // per_image) + 1
         patch_matrix = batch * per_image  # at least 8 block budgets
         x = T.leaf(rng.standard_normal((batch, w, w, cin)).astype(np.float32), needs_grad=True)
         kern = T.leaf(rng.standard_normal((k, k, cin, cout)).astype(np.float32), needs_grad=True)
@@ -72,7 +73,7 @@ class TestConv2d:
         x = rng.standard_normal((5, 5, 5, 2))
         kern = rng.standard_normal((3, 3, 2, 3))
         marker = T.leaf(rng.standard_normal((5, 3, 3, 3)))
-        conv_blocks_of_two(monkeypatch, x.shape, kern.shape, 2, "same")
+        blocks_of_two(monkeypatch)
         grads = []
         for conv_first in (True, False):
             xt = T.leaf(x, needs_grad=True)
@@ -156,6 +157,106 @@ class TestTransformRoute:
         T.backward(T.sum_all(out))
         assert out.dtype == np.float32
         assert all(t.grad.dtype == np.float32 for t in (caps, w, ref))
+
+
+def _forward(graph, op, *arrays):
+    """op's output data over leaves of ``arrays``: built with a graph (the
+    leaves need gradients) or under no_grad."""
+    leaves = [T.leaf(a, needs_grad=graph) for a in arrays]
+    with contextlib.ExitStack() as stack:
+        if not graph:
+            stack.enter_context(T.no_grad())
+        return op(*leaves).data
+
+
+BLOCKED_ROUTE_CASES = [(geometry, graph)
+                       for geometry in (((3, 3), 1, "same"), ((3, 3), 2, "same"),
+                                        ((5, 5), 1, "valid"))
+                       for graph in (True, False)]
+
+
+class TestBlockedOps:
+    """transform_route and channel_affine walk five images in blocks of two,
+    the last one ragged."""
+
+    @pytest.mark.parametrize("geometry,graph", BLOCKED_ROUTE_CASES, ids=[
+        f"{g[0][0]}x{g[0][1]}-{g[1]}-{g[2]}-{'graph' if graph else 'no-grad'}"
+        for g, graph in BLOCKED_ROUTE_CASES])
+    def test_transform_route_blocks(self, rng, monkeypatch, geometry, graph):
+        ksize, stride, padding = geometry
+        caps = rng.standard_normal((5, 5, 5, 3, 3))
+        weight = rng.standard_normal((3, ksize[0] * ksize[1] * 3, 2 * 4)) * 0.3
+        ref = rng.standard_normal((2, 4, 3))
+
+        def route(*ts):
+            return T.transform_route(*ts, ksize, stride, padding)
+
+        one_block = _forward(False, route, caps, weight, ref)
+        walked = blocks_of_two(monkeypatch)
+        blocked = _forward(graph, route, caps, weight, ref)
+        assert walked == [[(0, 2), (2, 4), (4, 5)]]
+        if padding == "valid":
+            # one position per image: numpy hands the GEMM of the ragged
+            # one-row block to BLAS as a matrix-vector product, which sums
+            # in another order
+            assert np.allclose(blocked, one_block, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(blocked[:4], one_block[:4])
+        else:
+            assert np.array_equal(blocked, one_block)
+        stacks = reference.conv_transform_loops(caps, oracle_banks(weight, ksize, 4),
+                                                stride, padding)
+        slow = reference.attention_route_loops(stacks, ref)
+        assert np.max(np.abs(blocked - slow)) < 1e-6
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
+    def test_channel_affine_blocks(self, rng, monkeypatch, graph):
+        x = rng.standard_normal((5, 3, 2, 4, 3))
+        weight = rng.standard_normal((3, 4, 5))
+        bias = rng.standard_normal((3, 5))
+        one_block = _forward(False, T.channel_affine, x, weight, bias)
+        walked = blocks_of_two(monkeypatch)
+        blocked = _forward(graph, T.channel_affine, x, weight, bias)
+        assert walked == [[(0, 2), (2, 4), (4, 5)]]
+        assert np.array_equal(blocked, one_block)
+        slow = reference.capsule_activation_loops(x, weight, bias)
+        assert np.max(np.abs(np.tanh(blocked) - slow)) < 1e-6
+
+    def test_transform_route_without_graph_holds_no_whole_batch_u(self, rng):
+        # 3x3 "same" over 8x8 capsules of 8 channels, routed to 8 channels
+        # of 16: u = (M, P, N*E) spans at least 8 block budgets
+        w, d, m, n, e = 8, 8, 8, 8, 16
+        u_per_image = w * w * m * n * e * 4
+        batch = -(-8 * T.BLOCK_BYTES // u_per_image) + 1
+        caps = T.leaf(rng.standard_normal((batch, w, w, d, m)).astype(np.float32))
+        weight = T.leaf(rng.standard_normal((m, 9 * d, n * e)).astype(np.float32) * 0.1)
+        ref = T.leaf(rng.standard_normal((n, e, m)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.transform_route(caps, weight, ref, (3, 3), 1, "same")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, w, w, e, n)
+        assert peak < batch * u_per_image, (peak, batch * u_per_image)
+
+    def test_channel_affine_without_graph_holds_one_output(self, rng):
+        # an output of at least 4 block budgets; the block buffers add at
+        # most about one budget
+        w, k, m, e = 8, 16, 8, 16
+        out_per_image = w * w * e * m * 4
+        batch = -(-4 * T.BLOCK_BYTES // out_per_image) + 1
+        x = T.leaf(rng.standard_normal((batch, w, w, k, m)).astype(np.float32))
+        weight = T.leaf(rng.standard_normal((m, k, e)).astype(np.float32))
+        bias = T.leaf(rng.standard_normal((m, e)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.channel_affine(x, weight, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.data.nbytes, (peak, out.data.nbytes)
 
 
 class TestSoftmax:
@@ -253,7 +354,7 @@ class TestConvBnRelu:
         # gamma and beta against conv2d -> batchnorm -> relu, in float64
         arrays, stats = stem_probe(np.random.default_rng(40), (5, 6, 5, 3), 4, train)
         if blocks > 1:  # five images in blocks of two, the last one ragged
-            conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same")
+            blocks_of_two(monkeypatch)
         assert stem_oracle_gap(arrays, stats, train, x_grad) < 1e-12
 
     @pytest.mark.parametrize("graph", [True, False])
@@ -261,7 +362,7 @@ class TestConvBnRelu:
         arrays, stats = stem_probe(rng, (5, 6, 6, 3), 4, False)
         arrays = [a.astype(np.float32) for a in arrays]
         stats = [a.astype(np.float32) for a in stats]
-        conv_blocks_of_two(monkeypatch, arrays[0].shape, arrays[1].shape, 1, "same", 4)
+        blocks_of_two(monkeypatch)
         leaves = [T.leaf(a, needs_grad=graph) for a in arrays]
         with contextlib.ExitStack() as stack:
             if not graph:
@@ -277,7 +378,7 @@ class TestConvBnRelu:
         x = 1e6 + 1e-3 * (rng.standard_normal((6, 4, 4, 1)) + np.arange(6)[:, None, None, None])
         kernel = np.zeros((3, 3, 1, 1))
         kernel[1, 1] = 1.0
-        conv_blocks_of_two(monkeypatch, x.shape, kernel.shape, 1, "same")
+        blocks_of_two(monkeypatch)
         ones = T.leaf(np.ones(1))
         _, mean, var = T.conv_bn_relu(T.leaf(x), T.leaf(kernel), None, ones,
                                       T.leaf(np.zeros(1)), None, None, True)
