@@ -320,10 +320,18 @@ def _routing_oracle_check():
     return worst
 
 
+# relative tolerance of a blocked weight or reference gradient, which sums
+# per block, against the sum of the per-image gradients (float64)
+ROUTE_GRAD_SUM_RTOL = 1e-12
+
+
 def _route_blocks_check():
     """transform_route of 3 images at the real block budget, in blocks of
-    two and one, against each image routed alone (one block each, bitwise)
-    and against the loop oracle."""
+    two and one, against each image routed alone (one block each): the
+    output bitwise, the caps gradient bitwise (reported, and otherwise held
+    to ROUTE_GRAD_SUM_RTOL), and the weight and reference gradients within
+    ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the output also
+    against the loop oracle."""
     rng = _rng(25)
     # 4x4 capsules, 3x3 "same" at stride 2: 4 positions per image, whose
     # float64 patch and u rows take just under half the block budget
@@ -332,18 +340,35 @@ def _route_blocks_check():
     caps = rng.standard_normal((b, w, w, d, m))
     weight = rng.standard_normal((m, 9 * d, n * e)) / np.sqrt(9 * d)
     ref = rng.standard_normal((n, e, m))
+    marker = rng.standard_normal((b, 2, 2, e, n))
 
-    def route(x):
-        return T.transform_route(T.leaf(x), T.leaf(weight), T.leaf(ref), (3, 3), 2, "same").data
+    def route(lo, hi):
+        """Images lo..hi routed in one call: the output and the caps,
+        weight and reference gradients of sum(out * marker)."""
+        leaves = [T.leaf(caps[lo:hi], True), T.leaf(weight, True), T.leaf(ref, True)]
+        out = T.transform_route(*leaves, (3, 3), 2, "same")
+        T.backward(T.sum_all(T.mul(out, T.leaf(marker[lo:hi]))))
+        return [out.data] + [t.grad for t in leaves]
 
-    blocked = route(caps)
-    if not np.array_equal(blocked, np.concatenate([route(caps[i:i + 1]) for i in range(b)])):
+    blocked, alone = route(0, b), [route(i, i + 1) for i in range(b)]
+    if not np.array_equal(blocked[0], np.concatenate([r[0] for r in alone])):
         raise ComputationError("transform_route blocks differ from one-image runs")
+    caps_grad = np.concatenate([r[1] for r in alone])
+    summed = [sum(r[i] for r in alone) for i in (2, 3)]
+    bitwise = np.array_equal(blocked[1], caps_grad)
+    for name, got, want in [("caps", blocked[1], caps_grad), ("weight", blocked[2], summed[0]),
+                            ("reference", blocked[3], summed[1])]:
+        gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        if gap > ROUTE_GRAD_SUM_RTOL:
+            raise ComputationError(
+                f"blocked transform_route {name} gradient is {gap:.2e} (relative) off the "
+                f"one-image runs, over {ROUTE_GRAD_SUM_RTOL:.0e}")
     stacks = reference.conv_transform_loops(caps, oracle_banks(weight, (3, 3), e), 2, "same")
-    worst = float(np.max(np.abs(blocked - reference.attention_route_loops(stacks, ref))))
+    worst = float(np.max(np.abs(blocked[0] - reference.attention_route_loops(stacks, ref))))
     if worst > 1e-6:
         raise ComputationError(f"blocked transform_route oracle mismatch: {worst:.2e}")
-    return worst
+    return (f"oracle worst {worst:.2e}; caps gradient "
+            f"{'bitwise' if bitwise else 'not bitwise'} equal to one-image runs")
 
 
 def _scalar_examples():
@@ -408,7 +433,9 @@ def run(report=print):
                       ("tiny-model end-to-end gradients", _tiny_model_check)):
         try:
             result = fn()
-            suffix = f" (worst {result:.2e})" if isinstance(result, float) else ""
+            if isinstance(result, float):
+                result = f"worst {result:.2e}"
+            suffix = f" ({result})" if result else ""
             report(f"ok   {label}{suffix}")
         except (AssertionError, ComputationError) as exc:
             failures += 1

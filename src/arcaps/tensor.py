@@ -15,7 +15,11 @@ Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
 intermediate array as soon as the next op has consumed it. The ops that
 walk the batch in blocks of images then reuse block-sized buffers in
-place of the whole-batch arrays only a backward rule would read.
+place of the whole-batch arrays only a backward rule would read. Their
+rules walk the same blocks and extract each block's patch operand again,
+scattering patch gradients back one block at a time
+(``_Windows.scatter_add``), so a graph keeps only what costs a GEMM to
+rebuild: ``transform_route``'s u and routing weights a.
 
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
@@ -369,11 +373,13 @@ def _conv_geometry(size, k, stride, padding):
     return out, 0, 0
 
 
-def _image_blocks(batch, bytes_per_image):
+def _image_blocks(batch, bytes_per_image, weight_bytes=0):
     """(lo, hi) bounds of consecutive blocks of whole images: as many images
-    per block as fit in BLOCK_BYTES, and at least one. The first block is
-    the largest."""
-    step = min(batch, max(1, BLOCK_BYTES // bytes_per_image))
+    per block as fit in BLOCK_BYTES, or in ``weight_bytes`` when the weight
+    the blocks multiply is larger (so each block's GEMM reads the weight no
+    more than it reads the block), and at least one. The first block is the
+    largest."""
+    step = min(batch, max(1, max(BLOCK_BYTES, weight_bytes) // bytes_per_image))
     return [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
@@ -389,17 +395,6 @@ def _patches(xp, wo, ho, kw, kh, stride):
     )
 
 
-def _col2im_add(gx, gcols, stride):
-    """Scatter-add (B, Wo, Ho, kw, kh, *tail) patch gradients into the padded
-    (B, Wp, Hp, *tail) input gradient ``gx``."""
-    wo, ho, kw, kh = gcols.shape[1:5]
-    for i in range(kw):
-        wstop = i + stride * (wo - 1) + 1
-        for j in range(kh):
-            hstop = j + stride * (ho - 1) + 1
-            gx[:, i:wstop:stride, j:hstop:stride] += gcols[:, :, :, i, j]
-
-
 class _Windows:
     """The (kw, kh) windows at ``stride`` and ``padding`` over a
     (B, W, H, *tail) input: output extents (wo, ho), the padded per-image
@@ -412,6 +407,7 @@ class _Windows:
         self.ho, ph0, ph1 = _conv_geometry(h, ksize[1], stride, padding)
         self.padded = (w + pw0 + pw1, h + ph0 + ph1) + tuple(shape[3:])
         self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
+        self.grad_buf = None
 
     def patches(self, x, blocks):
         """Yield the (hi - lo, Wo, Ho, kw, kh, *tail) patch view of each
@@ -426,12 +422,19 @@ class _Windows:
                 src = xp[: hi - lo]
             yield _patches(src, self.wo, self.ho, *self.ksize, self.stride)
 
-    def col2im(self, gcols):
-        """Scatter-add (B, Wo, Ho, kw, kh, *tail) patch gradients back to
-        the (unpadded) input layout."""
-        gx = np.zeros(gcols.shape[:1] + self.padded, dtype=gcols.dtype)
-        _col2im_add(gx, gcols, self.stride)
-        return gx[self.inner]
+    def scatter_add(self, gx, lo, hi, gcols):
+        """Scatter-add the (hi - lo, Wo, Ho, kw, kh, *tail) patch gradients of
+        images lo..hi into gx[lo:hi], through one padded buffer that every
+        block reuses (the first block is the largest)."""
+        if self.grad_buf is None:
+            self.grad_buf = np.empty((hi - lo,) + self.padded, dtype=gcols.dtype)
+        gxp, s = self.grad_buf[: hi - lo], self.stride
+        gxp.fill(0)
+        span_w, span_h = s * (self.wo - 1) + 1, s * (self.ho - 1) + 1
+        for i in range(self.ksize[0]):
+            for j in range(self.ksize[1]):
+                gxp[:, i:i + span_w:s, j:j + span_h:s] += gcols[:, :, :, i, j]
+        gx[lo:hi] += gxp[self.inner]
 
 
 def _check_conv(op, x, kernel, bias):
@@ -469,9 +472,7 @@ class _ConvBlocks:
         self.kmat = kernel.data.reshape(self.patch, self.cout)
         self.dtype = np.result_type(x.data, kernel.data)
         self.blocks = _image_blocks(len(x.data), self.rows * self.patch * x.data.itemsize)
-        step = self.blocks[0][1]
-        self.padded_block = (step,) + self.win.padded
-        self.patch_block = (step, self.wo, self.ho, kw, kh, cin)
+        self.patch_block = (self.blocks[0][1], self.wo, self.ho, kw, kh, cin)
 
     def row_blocks(self):
         """The output rows of each block, as slices."""
@@ -505,8 +506,9 @@ class _ConvBlocks:
 
         ``grad_rows(rows)`` returns the output gradient of one block's rows,
         (len(rows), Cout). The kernel gradient re-extracts each block's
-        patches. The input gradient scatters each block's patch gradient into
-        a reused padded buffer and adds its interior to ``x.grad``.
+        patches. The input gradient multiplies each block's patch gradient
+        into a reused buffer and scatters it into its images of ``x.grad``
+        (_Windows.scatter_add).
         """
         x, kernel = self.x, self.kernel
         if kernel.needs_grad:
@@ -516,18 +518,14 @@ class _ConvBlocks:
             blocks = ((rows, None) for rows in self.row_blocks())
         if x.needs_grad:
             gcols_buf = np.empty(self.patch_block, dtype=self.dtype)
-            gxp_buf = np.empty(self.padded_block, dtype=self.dtype)
-            gx = x.grad
         for (lo, hi), (rows, cols) in zip(self.blocks, blocks):
             g = grad_rows(rows)
             if kernel.needs_grad:
                 gk += cols.T @ g
             if x.needs_grad:
-                gcols, gxp = gcols_buf[: hi - lo], gxp_buf[: hi - lo]
+                gcols = gcols_buf[: hi - lo]
                 np.matmul(g, self.kmat.T, out=gcols.reshape(-1, self.patch))
-                gxp.fill(0)
-                _col2im_add(gxp, gcols, self.win.stride)
-                gx[lo:hi] += gxp[self.win.inner]
+                self.win.scatter_add(x.grad, lo, hi, gcols)
         if kernel.needs_grad:
             kernel.accumulate_grad(gk.reshape(kernel.shape))
 
@@ -671,11 +669,11 @@ def channel_affine(x, weight, bias=None):
 
     This is the per-channel 1x1 affine of the capsule activation (K = D).
     The batch is walked in blocks of whole images (see _image_blocks): each
-    block is copied channel first into the GEMM's (M, rows, K) operand,
-    multiplied into a block-sized buffer, shifted by the bias and written
-    into its images of the output. With a graph the blocks fill one
-    (M, B*W*H, K) operand, which the rule keeps; without one they reuse a
-    block-sized operand, so the output is the only whole-batch array.
+    block is copied channel first into a block-sized (M, rows, K) GEMM
+    operand, multiplied into a block-sized buffer, shifted by the bias and
+    written into its images of the output, so the output is the only
+    whole-batch array. The rule keeps no operand: it walks the same blocks,
+    copying each block's input channel first again for the weight gradient.
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
@@ -692,35 +690,40 @@ def channel_affine(x, weight, bias=None):
     if bias is not None and bias.shape != (m, e):
         raise ConfigurationError(f"channel_affine() bias shape {bias.shape} != ({m}, {e})")
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    graph = not _no_grad_depth and any(p.needs_grad for p in parents)
     rows = w * h
     blocks = _image_blocks(b, rows * m * (k + e) * x.data.itemsize)
     step = blocks[0][1] * rows
-    xt = np.empty((m, b * rows if graph else step, k), dtype=x.dtype)
+
+    def channel_first(buf, lo, hi):
+        """Images lo..hi of x, copied into buf as the (M, rows, K) operand."""
+        bxt = buf[:, : (hi - lo) * rows]
+        np.copyto(bxt.reshape(m, hi - lo, w, h, k), np.moveaxis(x.data[lo:hi], -1, 0))
+        return bxt
+
+    xt = np.empty((m, step, k), dtype=x.dtype)
     y = np.empty((m, step, e), dtype=np.result_type(x.data, weight.data))
     out = np.empty((b, w, h, e, m), dtype=y.dtype)
     for lo, hi in blocks:
-        nb = hi - lo
-        off = lo * rows if graph else 0
-        bxt, by = xt[:, off:off + nb * rows], y[:, : nb * rows]
-        np.copyto(bxt.reshape(m, nb, w, h, k), np.moveaxis(x.data[lo:hi], -1, 0))
-        np.matmul(bxt, weight.data, out=by)
+        by = y[:, : (hi - lo) * rows]
+        np.matmul(channel_first(xt, lo, hi), weight.data, out=by)
         if bias is not None:
             by += bias.data[:, None, :]
-        np.copyto(out[lo:hi], np.moveaxis(by.reshape(m, nb, w, h, e), 0, -1))
+        np.copyto(out[lo:hi], np.moveaxis(by.reshape(m, hi - lo, w, h, e), 0, -1))
 
     def rule(node):
-        gt = np.ascontiguousarray(np.moveaxis(node.grad, -1, 0)).reshape(m, b * w * h, e)
-        if weight.needs_grad:
-            weight.accumulate_grad(xt.transpose(0, 2, 1) @ gt)
-        if bias is not None and bias.needs_grad:
-            bias.accumulate_grad(gt.sum(axis=1))
-        if x.needs_grad:
-            gx = gt @ weight.data.transpose(0, 2, 1)  # (m, bwh, k)
-            x.accumulate_grad(np.moveaxis(gx.reshape(m, b, w, h, k), 0, -1))
+        buf = np.empty((m, step, k), dtype=x.dtype) if weight.needs_grad else None
+        for lo, hi in blocks:
+            nb = hi - lo
+            gt = np.ascontiguousarray(np.moveaxis(node.grad[lo:hi], -1, 0)).reshape(m, -1, e)
+            if weight.needs_grad:
+                weight.accumulate_grad(channel_first(buf, lo, hi).transpose(0, 2, 1) @ gt)
+            if bias is not None and bias.needs_grad:
+                bias.accumulate_grad(gt.sum(axis=1))
+            if x.needs_grad:
+                gx = gt @ weight.data.transpose(0, 2, 1)  # (m, rows, k)
+                x.grad[lo:hi] += np.moveaxis(gx.reshape(m, nb, w, h, k), 0, -1)
 
-    return Tensor(out, parents, rule)
+    return Tensor(out, (x, weight) if bias is None else (x, weight, bias), rule)
 
 
 def transform_route(caps, weight, reference, ksize, stride, padding):
@@ -739,15 +742,25 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
       a[:, p, n]     = softmax over m of the logits
       out[p, :, n]   = sum_m a[m, p, n] * u[m, p, n]
 
-    The batch is walked in blocks of whole images (see _image_blocks). Each
-    block is zero-padded into one reused buffer, its patches are copied
-    once, channel first, into the GEMM's (M, rows, K) operand, and its u
-    stays in the (M, rows, N, E) layout, so every sum over input channels
-    reduces the leading axis; the weighted sum goes through a block-sized
-    buffer into the block's rows of the output. With a graph the blocks
-    fill the whole-batch operand (M, P, K), u (M, P, N, E) and a (M, P, N),
-    with P = B*Wo*Ho, which the rule keeps; without one they reuse
+    The batch is walked in blocks of whole images (see _image_blocks); a
+    block may grow to the size of the weight, so a small layer's GEMMs do
+    not re-read a large weight once per block. Each block is zero-padded
+    into one reused buffer, its patches are copied once, channel first,
+    into a block-sized (M, rows, K) GEMM operand, and its u stays in the
+    (M, rows, N, E) layout, so every sum over input channels reduces the
+    leading axis; the weighted sum goes through a block-sized buffer into
+    the block's rows of the output. With a graph the blocks fill the
+    whole-batch u (M, P, N, E) and a (M, P, N), with P = B*Wo*Ho, which the
+    rule keeps, because rebuilding u costs a GEMM; without one they reuse
     block-sized buffers, so the output is the only whole-batch array.
+
+    The rule walks the same blocks. Per block it takes the softmax
+    backward, builds the gradient of u, gu = a*g + gl*reference (the
+    weighted sum's term and the logits'), copies the block's patches
+    channel first again for the weight gradient, and multiplies gu into
+    the block's patch gradient, which _Windows.scatter_add adds into its
+    images of the caps gradient.
+
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
     if padding not in _PADDINGS:
@@ -772,23 +785,31 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     p = b * rows
     parents = (caps, weight, reference)
     graph = not _no_grad_depth and any(t.needs_grad for t in parents)
-    blocks = _image_blocks(b, rows * m * (k + n * e) * caps.data.itemsize)
-    span = p if graph else blocks[0][1] * rows
+    blocks = _image_blocks(b, rows * m * (k + n * e) * caps.data.itemsize, weight.data.nbytes)
+    step = blocks[0][1] * rows
+    span = p if graph else step
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
-    xt = np.empty((m, span, k), dtype=caps.dtype)
+
+    def channel_first(buf, nb, view):
+        """A block's (nb, Wo, Ho, kw, kh, D, M) patch view, copied into buf
+        as the (M, nb*rows, K) operand."""
+        bxt = buf[:, : nb * rows]
+        np.copyto(bxt.reshape(m, nb, wo, ho, kw, kh, d), np.moveaxis(view, -1, 0))
+        return bxt
+
+    xt = np.empty((m, step, k), dtype=caps.dtype)
     u = np.empty((m, span, n * e), dtype=np.result_type(caps.data, weight.data))
     routed = np.result_type(u, ref)
     a = np.empty((m, p, n), dtype=routed) if graph else None
     # einsum writes the (rows, N, E) weighted sum about 4x faster into a
     # contiguous buffer than into the output's transposed view
-    wsum = np.empty((blocks[0][1] * rows, n, e), dtype=routed)
+    wsum = np.empty((step, n, e), dtype=routed)
     out = np.empty((p, e, n), dtype=routed)
     for (lo, hi), view in zip(blocks, win.patches(caps.data, blocks)):
         nb = hi - lo
         off = lo * rows if graph else 0
-        bxt, bu = xt[:, off:off + nb * rows], u[:, off:off + nb * rows]
-        np.copyto(bxt.reshape(m, nb, wo, ho, kw, kh, d), np.moveaxis(view, -1, 0))
-        np.matmul(bxt, weight.data, out=bu)
+        bu = u[:, off:off + nb * rows]
+        np.matmul(channel_first(xt, nb, view), weight.data, out=bu)
         bu = bu.reshape(m, nb * rows, n, e)
         logits = np.einsum("mpne,mne->mpn", bu, ref)
         if not np.all(np.isfinite(logits)):
@@ -803,32 +824,27 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     u = u.reshape(m, span, n, e)
 
     def rule(node):
-        g = np.ascontiguousarray(node.grad.reshape(p, e, n).transpose(0, 2, 1))
-        # softmax backward: d logit = a * (d a - sum_m a * d a)
-        ga = np.einsum("pne,mpne->mpn", g, u)
-        gl = a * (ga - (a * ga).sum(axis=0))
-        if reference.needs_grad:
-            reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, u))
-        # u feeds both the weighted sum (gradient a*g) and the logits
-        # (gradient gl[m, p, n] * ref[m, n, :]); the second term is folded
-        # into the GEMMs rather than built at the size of u
-        ag = (a[..., None] * g).reshape(m, p, n * e)
-        if weight.needs_grad:
-            # two accumulations, so at most one weight-sized temporary lives
-            # beside the gradient (fullycaps' weight outweighs its u)
-            weight.accumulate_grad(xt.transpose(0, 2, 1) @ ag)
-            weight.accumulate_grad(
-                ((xt.transpose(0, 2, 1) @ gl)[..., None] * ref[:, None]).reshape(m, k, n * e))
-        if caps.needs_grad:
-            v = np.einsum("mkne,mne->mnk", weight.data.reshape(m, k, n, e), ref)
-            gx = ag @ weight.data.transpose(0, 2, 1)  # (m, p, k)
-            del ag  # not held through the copy and the scatter
-            gx += gl @ v
-            # the scatter runs faster from the patch layout than from a view
-            # that reads m at a large stride
-            gcols = np.ascontiguousarray(np.moveaxis(gx.reshape(m, b, wo, ho, kw, kh, d), 0, -1))
-            del gx
-            caps.accumulate_grad(win.col2im(gcols))
+        buf = np.empty((m, step, k), dtype=caps.dtype) if weight.needs_grad else None
+        views = win.patches(caps.data, blocks) if weight.needs_grad else [None] * len(blocks)
+        for (lo, hi), view in zip(blocks, views):
+            nb, r = hi - lo, slice(lo * rows, hi * rows)
+            g = np.ascontiguousarray(node.grad.reshape(p, e, n)[r].transpose(0, 2, 1))
+            bu, ba = u[:, r], a[:, r]
+            # softmax backward: d logit = a * (d a - sum_m a * d a)
+            ga = np.einsum("pne,mpne->mpn", g, bu)
+            gl = ba * (ga - (ba * ga).sum(axis=0))
+            if reference.needs_grad:
+                reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, bu))
+            # u feeds both the weighted sum and the logits
+            gu = (ba[..., None] * g + gl[..., None] * ref[:, None]).reshape(m, nb * rows, n * e)
+            if weight.needs_grad:
+                weight.accumulate_grad(channel_first(buf, nb, view).transpose(0, 2, 1) @ gu)
+            if caps.needs_grad:
+                gx = gu @ weight.data.transpose(0, 2, 1)  # (m, rows, k)
+                # the scatter runs faster from the patch layout than from a
+                # view that reads m at a large stride
+                gcols = np.moveaxis(gx.reshape(m, nb, wo, ho, kw, kh, d), 0, -1)
+                win.scatter_add(caps.grad, lo, hi, np.ascontiguousarray(gcols))
 
     return Tensor(out.reshape(b, wo, ho, e, n), parents, rule)
 

@@ -60,13 +60,14 @@ def transform_stacks(layer, u):
 def blocks_of_two(monkeypatch):
     """Shrink the block budget of every blocked op (conv2d, conv_bn_relu,
     transform_route, channel_affine) to two of its images, so a batch of
-    more than two spans several blocks. Returns the list that records the
+    more than two spans several blocks; the weight size that may grow
+    transform_route's blocks is ignored. Returns the list that records the
     (lo, hi) blocks of each op call, in call order."""
     walked = []
     image_blocks = T._image_blocks
     monkeypatch.setattr(T, "BLOCK_BYTES", T.BLOCK_BYTES)  # restored on teardown
 
-    def two_images(batch, bytes_per_image):
+    def two_images(batch, bytes_per_image, weight_bytes=0):
         T.BLOCK_BYTES = 2 * bytes_per_image
         walked.append(image_blocks(batch, bytes_per_image))
         return walked[-1]

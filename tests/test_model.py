@@ -363,6 +363,32 @@ def test_default_train_step_builds_47_nodes(rng, node_log):
     assert len(node_log) == 47
 
 
+def test_default_model_routes_fullycaps_in_one_block(rng, monkeypatch):
+    # fullycaps' 16 MB weight outweighs its 60 KB per image, so its blocks
+    # grow to the weight; convcaps0's 1.2 MB weight keeps the 2 MiB budget
+    calls = []
+    image_blocks = T._image_blocks
+
+    def recording(batch, bytes_per_image, weight_bytes=0):
+        calls.append((bytes_per_image, weight_bytes, image_blocks(batch, bytes_per_image,
+                                                                  weight_bytes)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(T, "_image_blocks", recording)
+    net = ArCapsNet(ModelConfig(), seed=0)
+    with T.no_grad():
+        net.forward(rng.random((100, 28, 28, 1), dtype=np.float32))
+    conv_weight = net.caps_layers[0].transform.data.nbytes
+    fully = [blocks for _, wb, blocks in calls if wb == net.fully.transform.data.nbytes]
+    conv = [(per_image, blocks) for per_image, wb, blocks in calls if wb == conv_weight]
+    assert conv_weight < T.BLOCK_BYTES < net.fully.transform.data.nbytes
+    assert fully == [[(0, 100)]]
+    [(per_image, blocks)] = conv
+    step = T.BLOCK_BYTES // per_image
+    assert 1 < step < 100
+    assert blocks == [(lo, min(lo + step, 100)) for lo in range(0, 100, step)]
+
+
 def test_float32_forward_without_graph_is_float32(rng, tiny_config, node_log):
     net = ArCapsNet(tiny_config, seed=0)
     images = rng.random((3, 8, 8, 1), dtype=np.float32)

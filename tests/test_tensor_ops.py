@@ -258,6 +258,62 @@ class TestBlockedOps:
             tracemalloc.stop()
         assert peak < 2 * out.data.nbytes, (peak, out.data.nbytes)
 
+    def test_transform_route_graph_holds_no_patch_operand(self, rng):
+        # 3x3 "same" over 8x8 capsules of 8 channels: the (M, P, K) patch
+        # operand, like the patch gradient, spans at least 5 block budgets
+        w, d, m, n, e = 8, 8, 8, 4, 8
+        k = 9 * d
+        batch = -(-8 * T.BLOCK_BYTES // (w * w * m * (k + n * e) * 4)) + 1
+        patches = batch * w * w * m * k * 4
+        caps = T.leaf(rng.standard_normal((batch, w, w, d, m)).astype(np.float32), True)
+        weight = T.leaf(rng.standard_normal((m, k, n * e)).astype(np.float32) * 0.1, True)
+        ref = T.leaf(rng.standard_normal((n, e, m)).astype(np.float32), True)
+        marker = T.leaf(rng.standard_normal((batch, w, w, e, n)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = T.transform_route(caps, weight, ref, (3, 3), 1, "same")
+            kept = tracemalloc.get_traced_memory()[0]
+            loss = T.sum_all(T.mul(out, marker))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the node keeps its output, u and a, and no patch operand
+        u_and_a = batch * w * w * m * (n * e + n) * 4
+        assert kept < out.data.nbytes + u_and_a + T.BLOCK_BYTES, (kept, patches)
+        assert np.any(caps.grad != 0) and np.any(weight.grad != 0)
+        assert peak - held < patches, (peak - held, patches)
+
+    def test_channel_affine_graph_holds_no_channel_first_input(self, rng):
+        # an input of at least 8 block budgets
+        w, k, m, e = 8, 16, 8, 16
+        batch = -(-8 * T.BLOCK_BYTES // (w * w * k * m * 4)) + 1
+        x = T.leaf(rng.standard_normal((batch, w, w, k, m)).astype(np.float32), True)
+        weight = T.leaf(rng.standard_normal((m, k, e)).astype(np.float32), True)
+        bias = T.leaf(rng.standard_normal((m, e)).astype(np.float32), True)
+        tracemalloc.start()
+        try:
+            out = T.channel_affine(x, weight, bias)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < out.data.nbytes + T.BLOCK_BYTES, (kept, out.data.nbytes, x.data.nbytes)
+
+    @pytest.mark.parametrize("batch,per_image,weight_bytes,step", [
+        (10, T.BLOCK_BYTES // 4, 0, 4), (10, T.BLOCK_BYTES // 4, T.BLOCK_BYTES // 2, 4),
+        (10, T.BLOCK_BYTES // 4, 2 * T.BLOCK_BYTES, 8),
+        (10, T.BLOCK_BYTES // 4, 64 * T.BLOCK_BYTES, 10),
+        (3, 4 * T.BLOCK_BYTES, 2 * T.BLOCK_BYTES, 1)],
+        ids=["no-weight", "smaller-weight", "larger-weight", "weight-beyond-the-batch",
+             "image-larger-than-the-weight"])
+    def test_image_blocks_grow_to_a_larger_weight(self, batch, per_image, weight_bytes, step):
+        # a block holds as many images as fit in BLOCK_BYTES, or in the
+        # weight's bytes when the weight is larger, and at least one
+        blocks = T._image_blocks(batch, per_image, weight_bytes)
+        assert blocks == [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
 
 class TestSoftmax:
     """The softmax over input channels inside transform_route."""
