@@ -278,14 +278,6 @@ def cosine_histogram(report: AlignmentReport, bins=50):
     return out
 
 
-def pos_neg_cosine(model: ArCapsNet, dataset, families=FAMILY_NAMES,
-                   sample_count=10000, seed=0, bins=50):
-    """End-to-end convenience: collect alignments, then histogram the
-    positive/negative align-vector cosines."""
-    report = alignment_experiment(model, dataset, sample_count, families, seed)
-    return cosine_histogram(report, bins=bins)
-
-
 # ---------------------------------------------------------------------------
 # dimension perturbation
 

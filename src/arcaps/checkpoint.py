@@ -27,6 +27,7 @@ the previous checkpoint intact.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -53,7 +54,18 @@ def _write_record(fh, name, array):
     fh.write(data.tobytes())
 
 
+def _check_size(fh, count, path, what):
+    """Refuse a declared size larger than what is left of the file, before
+    anything of that size is read or allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise InputDataError(
+            f"{path}: truncated checkpoint: {what} declares {count} bytes at "
+            f"offset {fh.tell()}, but only {left} remain")
+
+
 def _read_exact(fh, count, path, what):
+    _check_size(fh, count, path, what)
     buf = fh.read(count)
     if len(buf) != count:
         raise InputDataError(
@@ -64,6 +76,7 @@ def _read_exact(fh, count, path, what):
 
 def _read_array(fh, shape, path, name):
     """Read float32 values straight into a new array (no second copy)."""
+    _check_size(fh, 4 * math.prod(shape), path, f"data of {name!r}")
     array = np.empty(shape, dtype="<f4")
     buf = memoryview(array).cast("B")
     got = fh.readinto(buf)
@@ -123,6 +136,7 @@ def load(path):
             (name_len,) = struct.unpack("<Q", head)
             name = _read_exact(fh, name_len, path, "record name").decode("utf-8")
             (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"rank of {name!r}"))
+            _check_size(fh, 8 * rank, path, f"extents of {name!r}")
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, path, f"extent of {name!r}"))[0]
                 for _ in range(rank)

@@ -325,50 +325,77 @@ def _routing_oracle_check():
 ROUTE_GRAD_SUM_RTOL = 1e-12
 
 
-def _route_blocks_check():
-    """transform_route of 3 images at the real block budget, in blocks of
-    two and one, against each image routed alone (one block each): the
-    output bitwise, the caps gradient bitwise (reported, and otherwise held
-    to ROUTE_GRAD_SUM_RTOL), and the weight and reference gradients within
-    ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the output also
-    against the loop oracle."""
+def _blocked_op_probes():
+    """(name, op, argument names, float64 arguments, one image's output
+    shape) of conv2d, channel_affine and transform_route over 3 images whose
+    block rows each take just under half the real block budget, so each op
+    runs in blocks of two images and one."""
     rng = _rng(25)
-    # 4x4 capsules, 3x3 "same" at stride 2: 4 positions per image, whose
-    # float64 patch and u rows take just under half the block budget
-    b, w, m, n, e = 3, 4, 2, 2, 1
-    d = (T.BLOCK_BYTES // (2 * 4 * m * 8) - n * e) // 9
-    caps = rng.standard_normal((b, w, w, d, m))
-    weight = rng.standard_normal((m, 9 * d, n * e)) / np.sqrt(9 * d)
-    ref = rng.standard_normal((n, e, m))
-    marker = rng.standard_normal((b, 2, 2, e, n))
+    half = T.BLOCK_BYTES // (2 * 8)  # float64 values in half a budget
+    # 4x4 capsules, 3x3 "same" at stride 2: 4 positions of patch and u rows
+    # of M=2 input channels, routed to N=2 channels of E=1
+    d = (half // (4 * 2) - 2) // 9
+    route = [rng.standard_normal((3, 4, 4, d, 2)),
+             rng.standard_normal((2, 9 * d, 2)) / np.sqrt(9 * d),
+             rng.standard_normal((2, 1, 2))]
+    # 8x8 images, 3x3 "same" at stride 1: 64 patch rows each
+    cin = half // (64 * 9)
+    conv = [rng.standard_normal((3, 8, 8, cin)),
+            rng.standard_normal((3, 3, cin, 2)) / np.sqrt(9 * cin), rng.standard_normal(2)]
+    # 8x8 images of M=2 channels to E=1: 64 operand and product rows each
+    k = half // (64 * 2) - 1
+    affine = [rng.standard_normal((3, 8, 8, k, 2)), rng.standard_normal((2, k, 1)) / np.sqrt(k),
+              rng.standard_normal((2, 1))]
+    return [
+        ("conv2d", lambda *ts: T.conv2d(*ts, 1, "same"), ("input", "kernel", "bias"),
+         conv, (8, 8, 2)),
+        ("channel_affine", T.channel_affine, ("input", "weight", "bias"), affine, (8, 8, 1, 2)),
+        ("transform_route", lambda *ts: T.transform_route(*ts, (3, 3), 2, "same"),
+         ("caps", "weight", "reference"), route, (2, 2, 1, 2)),
+    ]
 
-    def route(lo, hi):
-        """Images lo..hi routed in one call: the output and the caps,
-        weight and reference gradients of sum(out * marker)."""
-        leaves = [T.leaf(caps[lo:hi], True), T.leaf(weight, True), T.leaf(ref, True)]
-        out = T.transform_route(*leaves, (3, 3), 2, "same")
-        T.backward(T.sum_all(T.mul(out, T.leaf(marker[lo:hi]))))
-        return [out.data] + [t.grad for t in leaves]
 
-    blocked, alone = route(0, b), [route(i, i + 1) for i in range(b)]
-    if not np.array_equal(blocked[0], np.concatenate([r[0] for r in alone])):
-        raise ComputationError("transform_route blocks differ from one-image runs")
-    caps_grad = np.concatenate([r[1] for r in alone])
-    summed = [sum(r[i] for r in alone) for i in (2, 3)]
-    bitwise = np.array_equal(blocked[1], caps_grad)
-    for name, got, want in [("caps", blocked[1], caps_grad), ("weight", blocked[2], summed[0]),
-                            ("reference", blocked[3], summed[1])]:
-        gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        if gap > ROUTE_GRAD_SUM_RTOL:
-            raise ComputationError(
-                f"blocked transform_route {name} gradient is {gap:.2e} (relative) off the "
-                f"one-image runs, over {ROUTE_GRAD_SUM_RTOL:.0e}")
-    stacks = reference.conv_transform_loops(caps, oracle_banks(weight, (3, 3), e), 2, "same")
-    worst = float(np.max(np.abs(blocked[0] - reference.attention_route_loops(stacks, ref))))
-    if worst > 1e-6:
-        raise ComputationError(f"blocked transform_route oracle mismatch: {worst:.2e}")
-    return (f"oracle worst {worst:.2e}; caps gradient "
-            f"{'bitwise' if bitwise else 'not bitwise'} equal to one-image runs")
+def _blocked_ops_check():
+    """conv2d, channel_affine and transform_route at the real block budget,
+    in blocks of two images and one, against each image run alone (one
+    block each): the output bitwise, the input gradient bitwise (reported,
+    and otherwise held to ROUTE_GRAD_SUM_RTOL), and every other gradient
+    within ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the blocked
+    transform_route output also against the loop oracle."""
+    report = []
+    for name, op, arg_names, arrays, out_shape in _blocked_op_probes():
+        marker = _marker((3,) + out_shape)
+
+        def run(lo, hi):
+            """Images lo..hi in one call: the output and the gradients of
+            sum(out * marker)."""
+            leaves = [T.leaf(arrays[0][lo:hi], True)] + [T.leaf(a, True) for a in arrays[1:]]
+            out = op(*leaves)
+            T.backward(T.sum_all(T.mul(out, T.leaf(marker[lo:hi]))))
+            return [out.data] + [t.grad for t in leaves]
+
+        blocked, alone = run(0, 3), [run(i, i + 1) for i in range(3)]
+        if not np.array_equal(blocked[0], np.concatenate([r[0] for r in alone])):
+            raise ComputationError(f"{name} blocks differ from one-image runs")
+        x_grad = np.concatenate([r[1] for r in alone])
+        wants = [x_grad] + [sum(r[i] for r in alone) for i in range(2, len(blocked))]
+        for arg, got, want in zip(arg_names, blocked[1:], wants):
+            gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            if gap > ROUTE_GRAD_SUM_RTOL:
+                raise ComputationError(
+                    f"blocked {name} {arg} gradient is {gap:.2e} (relative) off the "
+                    f"one-image runs, over {ROUTE_GRAD_SUM_RTOL:.0e}")
+        same = np.array_equal(blocked[1], x_grad)
+        report.append(f"{name} {arg_names[0]} gradient {'' if same else 'not '}bitwise")
+        if name == "transform_route":
+            caps, weight, ref = arrays
+            stacks = reference.conv_transform_loops(caps, oracle_banks(weight, (3, 3), 1), 2,
+                                                    "same")
+            worst = float(np.max(np.abs(blocked[0] - reference.attention_route_loops(stacks,
+                                                                                      ref))))
+            if worst > 1e-6:
+                raise ComputationError(f"blocked transform_route oracle mismatch: {worst:.2e}")
+    return f"transform_route oracle worst {worst:.2e}; " + ", ".join(report)
 
 
 def _scalar_examples():
@@ -426,7 +453,7 @@ def run(report=print):
     for label, fn in (("conv2d vs loop oracle", _conv_oracle_check),
                       ("conv_bn_relu vs conv2d+batchnorm+relu", _stem_oracle_check),
                       ("attention routing vs loop oracle", _routing_oracle_check),
-                      ("transform_route blocks vs one block", _route_blocks_check),
+                      ("blocked ops vs one-image runs", _blocked_ops_check),
                       ("scalar reference values", _scalar_examples),
                       ("align vector vs Jacobi oracle", _align_vector_check),
                       ("no_grad forward equals graph forward", _no_grad_check),

@@ -13,13 +13,19 @@ between batches; their gradients accumulate across graphs until zeroed.
 
 Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
-intermediate array as soon as the next op has consumed it. The ops that
-walk the batch in blocks of images then reuse block-sized buffers in
-place of the whole-batch arrays only a backward rule would read. Their
-rules walk the same blocks and extract each block's patch operand again,
-scattering patch gradients back one block at a time
-(``_Windows.scatter_add``), so a graph keeps only what costs a GEMM to
-rebuild: ``transform_route``'s u and routing weights a.
+intermediate array as soon as the next op has consumed it.
+
+Every convolution of the model runs through one blocked GEMM over sliding
+windows, ``_WindowGemm``: conv2d and conv_bn_relu (the stem and the
+primary capsules), transform_route (the convolutional transform under
+attention routing) and channel_affine (the capsule activation, a 1x1
+affine per capsule channel). It walks the batch in blocks of whole
+images, so no op builds a whole-batch patch matrix or padded copy, and
+under no_grad the ops reuse block-sized buffers in place of the
+whole-batch arrays only a backward rule would read. Its backward walks
+the same blocks and extracts each block's operand again, so a graph keeps
+only what costs a GEMM to rebuild: transform_route's u and routing
+weights a. Each op adds only its own epilogue and gradient step.
 
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
@@ -39,9 +45,8 @@ from .errors import ComputationError, ConfigurationError
 
 MAX_RANK = 5
 
-# conv2d, conv_bn_relu, transform_route and channel_affine walk the batch in
-# blocks of whole images whose working arrays fit in this many bytes (one
-# image per block when a single image exceeds it)
+# _WindowGemm walks the batch in blocks of whole images whose working arrays
+# fit in this many bytes (one image per block when a single image exceeds it)
 BLOCK_BYTES = 2 << 20
 
 # depth of open no_grad blocks; graphs are built only at depth 0
@@ -383,21 +388,9 @@ def _image_blocks(batch, bytes_per_image, weight_bytes=0):
     return [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
-def _patches(xp, wo, ho, kw, kh, stride):
-    """(B, Wo, Ho, kw, kh, *tail) patch view of an already padded
-    (B, Wp, Hp, *tail) array."""
-    s = xp.strides
-    return as_strided(
-        xp,
-        shape=(xp.shape[0], wo, ho, kw, kh) + xp.shape[3:],
-        strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2]) + s[3:],
-        writeable=False,
-    )
-
-
 class _Windows:
     """The (kw, kh) windows at ``stride`` and ``padding`` over a
-    (B, W, H, *tail) input: output extents (wo, ho), the padded per-image
+    (B, W, H, D, M) input: output extents (wo, ho), the padded per-image
     shape and the slice of a padded array that holds the input."""
 
     def __init__(self, shape, ksize, stride, padding):
@@ -406,35 +399,144 @@ class _Windows:
         self.wo, pw0, pw1 = _conv_geometry(w, ksize[0], stride, padding)
         self.ho, ph0, ph1 = _conv_geometry(h, ksize[1], stride, padding)
         self.padded = (w + pw0 + pw1, h + ph0 + ph1) + tuple(shape[3:])
+        self.pad = self.padded != tuple(shape[1:])
         self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
         self.grad_buf = None
 
     def patches(self, x, blocks):
-        """Yield the (hi - lo, Wo, Ho, kw, kh, *tail) patch view of each
-        (lo, hi) block of images of x. A block is zero-padded into one reused
-        buffer, so no padded copy of the whole input exists."""
-        pad = self.padded != x.shape[1:]
-        xp = np.zeros((blocks[0][1],) + self.padded, dtype=x.dtype) if pad else None
+        """Yield the channel-first (M, hi - lo, Wo, Ho, kw, kh, D) patch view
+        of each (lo, hi) block of images of a (B, W, H, D, M) x. A block is
+        zero-padded into one reused buffer, so no padded copy of the whole
+        input exists."""
+        xp = np.zeros((blocks[0][1],) + self.padded, dtype=x.dtype) if self.pad else None
         for lo, hi in blocks:
             src = x[lo:hi]
-            if pad:
+            if self.pad:
                 xp[: hi - lo][self.inner] = src
                 src = xp[: hi - lo]
-            yield _patches(src, self.wo, self.ho, *self.ksize, self.stride)
+            s, st = src.strides, self.stride
+            yield as_strided(src, shape=(src.shape[4], hi - lo, self.wo, self.ho, *self.ksize,
+                                         src.shape[3]),
+                             strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
+                             writeable=False)
 
     def scatter_add(self, gx, lo, hi, gcols):
-        """Scatter-add the (hi - lo, Wo, Ho, kw, kh, *tail) patch gradients of
-        images lo..hi into gx[lo:hi], through one padded buffer that every
-        block reuses (the first block is the largest)."""
-        if self.grad_buf is None:
-            self.grad_buf = np.empty((hi - lo,) + self.padded, dtype=gcols.dtype)
-        gxp, s = self.grad_buf[: hi - lo], self.stride
-        gxp.fill(0)
+        """Scatter-add the (hi - lo, Wo, Ho, kw, kh, D, M) patch gradients of
+        images lo..hi into gx[lo:hi]: straight into it when the windows have
+        no padding, else through one padded buffer that every block reuses
+        (the first block is the largest)."""
+        gxp, s = gx[lo:hi], self.stride
+        if self.pad:
+            if self.grad_buf is None:
+                self.grad_buf = np.empty((hi - lo,) + self.padded, dtype=gcols.dtype)
+            gxp = self.grad_buf[: hi - lo]
+            gxp.fill(0)
         span_w, span_h = s * (self.wo - 1) + 1, s * (self.ho - 1) + 1
         for i in range(self.ksize[0]):
             for j in range(self.ksize[1]):
                 gxp[:, i:i + span_w:s, j:j + span_h:s] += gcols[:, :, :, i, j]
-        gx[lo:hi] += gxp[self.inner]
+        if self.pad:
+            gx[lo:hi] += gxp[self.inner]
+
+
+class _WindowGemm:
+    """The blocked GEMM over sliding windows behind conv2d, conv_bn_relu,
+    channel_affine and transform_route.
+
+    It walks the (kw, kh) windows at ``stride`` and ``padding`` of a
+    (B, W, H, D, M) input node in blocks of whole images. Each block's
+    patches are copied channel first into one reused (M, rows, K) operand
+    buffer, K = kw*kh*D, and multiplied by the (M, K, C) weight node, one
+    GEMM per input channel m. A (B, W, H, Cin) input reads as M = 1, with
+    its (kw, kh, Cin, Cout) kernel as (1, kw*kh*Cin, Cout). Product rows are
+    the flattened (B*Wo*Ho) positions, a block's rows contiguous, so neither
+    a padded copy of the whole input nor its whole patch matrix ever exists.
+
+    A block holds as many images as _image_blocks fits for their operand
+    rows, plus their product rows when ``count_product`` (for ops whose
+    epilogue holds block-sized arrays of that size). The backward holds no
+    operand: it extracts each block's again.
+    """
+
+    def __init__(self, x, weight, ksize, stride, padding, count_product=False):
+        self.x, self.weight = x, weight
+        xd = self._5d(x.data)
+        self.m = xd.shape[4]
+        self.win = _Windows(xd.shape, ksize, stride, padding)
+        self.wo, self.ho = self.win.wo, self.win.ho
+        self.rows = self.wo * self.ho
+        self.patch = (ksize[0], ksize[1], xd.shape[3])
+        self.k = ksize[0] * ksize[1] * xd.shape[3]
+        self.w = weight.data.reshape(self.m, self.k, -1)
+        self.c = self.w.shape[2]
+        self.dtype = np.result_type(x.data, weight.data)
+        cols = self.k + self.c * count_product
+        self.blocks = _image_blocks(len(xd), self.rows * self.m * cols * xd.itemsize,
+                                    weight.data.nbytes)
+        self.step = self.blocks[0][1] * self.rows
+
+    @staticmethod
+    def _5d(a):
+        return a[..., None] if a.ndim == 4 else a
+
+    def span(self, lo, hi):
+        """The product rows of images lo..hi (of a block, from its first)."""
+        return slice(lo * self.rows, hi * self.rows)
+
+    def operands(self):
+        """Yield each block's (M, rows, K) operand, in one reused buffer."""
+        buf = np.empty((self.m, self.step, self.k), dtype=self.x.dtype)
+        xd = self._5d(self.x.data)
+        for (lo, hi), view in zip(self.blocks, self.win.patches(xd, self.blocks)):
+            op = buf[:, self.span(0, hi - lo)]
+            np.copyto(op.reshape(view.shape), view)
+            yield op
+
+    def forward(self, bias=None, each=None, whole=True):
+        """The product (+ bias), block by block: into its rows of a
+        whole-batch (M, B*rows, C) array, or (not ``whole``) into one reused
+        (M, rows, C) block buffer. Returns that array; each(lo, hi, block)
+        runs while the block is in cache."""
+        out = np.empty((self.m, len(self.x.data) * self.rows if whole else self.step, self.c),
+                       dtype=self.dtype)
+        for (lo, hi), op in zip(self.blocks, self.operands()):
+            blk = out[:, self.span(lo, hi) if whole else self.span(0, hi - lo)]
+            np.matmul(op, self.w, out=blk)
+            if bias is not None:
+                blk += bias
+            if each is not None:
+                each(lo, hi, blk)
+        return out
+
+    def backward(self, grad):
+        """Accumulate the weight and input gradients, block by block, from
+        grad(lo, hi), the (M, rows, C) gradient of a block's product.
+
+        Each block's weight gradient, from its operand extracted again, goes
+        to the weight as it is made. The input gradient multiplies into a
+        reused buffer and scatters into the block's images of ``x.grad``
+        (_Windows.scatter_add), which is taken at the first scatter, so it is
+        not held beside the first weight gradient's temporaries.
+        """
+        x, weight = self.x, self.weight
+        ops = self.operands() if weight.needs_grad else None
+        gbuf = None
+        for lo, hi in self.blocks:
+            g = grad(lo, hi)
+            if weight.needs_grad:
+                weight.accumulate_grad((next(ops).transpose(0, 2, 1) @ g).reshape(weight.shape))
+            if x.needs_grad:
+                if gbuf is None:
+                    gbuf = np.empty((self.m, self.step, self.k), dtype=np.result_type(g, self.w))
+                gx = gbuf[:, self.span(0, hi - lo)]
+                np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
+                gcols = np.moveaxis(gx.reshape((self.m, hi - lo, self.wo, self.ho) + self.patch),
+                                    0, -1)
+                if self.patch[:2] != (1, 1):
+                    # the scatter runs faster from the patch layout than from
+                    # a view that reads m at a large stride
+                    gcols = np.ascontiguousarray(gcols)
+                self.win.scatter_add(self._5d(x.grad), lo, hi, gcols)
 
 
 def _check_conv(op, x, kernel, bias):
@@ -452,114 +554,34 @@ def _check_conv(op, x, kernel, bias):
         raise ConfigurationError(f"{op}() bias shape {bias.shape} != ({cout},)")
 
 
-class _ConvBlocks:
-    """The convolution of a (B, W, H, Cin) input node with a
-    (kw, kh, Cin, Cout) kernel node, walked in blocks of whole images.
-
-    A block's patches fit in BLOCK_BYTES (see _image_blocks). Each block is
-    zero-padded into one reused buffer and its patches copied into another,
-    so neither a padded copy of the whole input nor its
-    (B*Wo*Ho, kw*kh*Cin) patch matrix ever exists. Output rows are the
-    flattened (B*Wo*Ho) positions, a block's rows contiguous.
-    """
-
-    def __init__(self, x, kernel, stride, padding):
-        kw, kh, cin, self.cout = kernel.shape
-        self.win = _Windows(x.shape, (kw, kh), stride, padding)
-        self.wo, self.ho = self.win.wo, self.win.ho
-        self.x, self.kernel = x, kernel
-        self.rows, self.patch = self.wo * self.ho, kw * kh * cin
-        self.kmat = kernel.data.reshape(self.patch, self.cout)
-        self.dtype = np.result_type(x.data, kernel.data)
-        self.blocks = _image_blocks(len(x.data), self.rows * self.patch * x.data.itemsize)
-        self.patch_block = (self.blocks[0][1], self.wo, self.ho, kw, kh, cin)
-
-    def row_blocks(self):
-        """The output rows of each block, as slices."""
-        return [slice(lo * self.rows, hi * self.rows) for lo, hi in self.blocks]
-
-    def patches(self):
-        """Yield (rows, cols): each block's output rows and its
-        (len(rows), kw*kh*Cin) patch matrix, in one reused buffer."""
-        buf = np.empty(self.patch_block, dtype=self.x.data.dtype)
-        views = self.win.patches(self.x.data, self.blocks)
-        for (lo, hi), rows, view in zip(self.blocks, self.row_blocks(), views):
-            cols = buf[: hi - lo]
-            np.copyto(cols, view)
-            yield rows, cols.reshape(-1, self.patch)
-
-    def forward(self, bias, each=None):
-        """The (B*Wo*Ho, Cout) output, patches @ kernel (+ bias), computed
-        block by block; each(rows, block) runs while the block is in cache."""
-        out = np.empty((len(self.x.data) * self.rows, self.cout), dtype=self.dtype)
-        for rows, cols in self.patches():
-            blk = out[rows]
-            np.matmul(cols, self.kmat, out=blk)
-            if bias is not None:
-                blk += bias.data
-            if each is not None:
-                each(rows, blk)
-        return out
-
-    def backward(self, grad_rows):
-        """Accumulate the kernel and input gradients, block by block.
-
-        ``grad_rows(rows)`` returns the output gradient of one block's rows,
-        (len(rows), Cout). The kernel gradient re-extracts each block's
-        patches. The input gradient multiplies each block's patch gradient
-        into a reused buffer and scatters it into its images of ``x.grad``
-        (_Windows.scatter_add).
-        """
-        x, kernel = self.x, self.kernel
-        if kernel.needs_grad:
-            blocks = self.patches()
-            gk = np.zeros((self.patch, self.cout), dtype=self.dtype)
-        else:
-            blocks = ((rows, None) for rows in self.row_blocks())
-        if x.needs_grad:
-            gcols_buf = np.empty(self.patch_block, dtype=self.dtype)
-        for (lo, hi), (rows, cols) in zip(self.blocks, blocks):
-            g = grad_rows(rows)
-            if kernel.needs_grad:
-                gk += cols.T @ g
-            if x.needs_grad:
-                gcols = gcols_buf[: hi - lo]
-                np.matmul(g, self.kmat.T, out=gcols.reshape(-1, self.patch))
-                self.win.scatter_add(x.grad, lo, hi, gcols)
-        if kernel.needs_grad:
-            kernel.accumulate_grad(gk.reshape(kernel.shape))
-
-
 def conv2d(x, kernel, bias=None, stride=1, padding="same"):
     """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel.
 
-    The batch is walked in blocks of whole images (see _ConvBlocks): each
-    block's patches are multiplied straight into its rows of the output. The
-    backward rule holds no patches; it extracts them again block by block.
+    A _WindowGemm with M = 1: each block's patches are multiplied straight
+    into its rows of the output, and the bias is added while the block is in
+    cache. The backward rule holds no patches.
     """
     if padding not in _PADDINGS:
         raise ConfigurationError(f"unknown padding {padding!r}")
     _check_conv("conv2d", x, kernel, bias)
-    conv = _ConvBlocks(x, kernel, stride, padding)
-    out = conv.forward(bias)
-    b = x.shape[0]
-
+    gemm = _WindowGemm(x, kernel, kernel.shape[:2], stride, padding)
+    out = gemm.forward(None if bias is None else bias.data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def rule(node):
-        g = node.grad.reshape(b * conv.rows, conv.cout)
+        g = node.grad.reshape(1, -1, gemm.c)
         if bias is not None and bias.needs_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        conv.backward(lambda rows: g[rows])
+            bias.accumulate_grad(g[0].sum(axis=0))
+        gemm.backward(lambda lo, hi: g[:, gemm.span(lo, hi)])
 
-    return Tensor(out.reshape(b, conv.wo, conv.ho, conv.cout), parents, rule)
+    return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), parents, rule)
 
 
 def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train, eps=1e-5):
     """relu(batchnorm(conv2d(x, kernel, bias, 1, "same"))) as one op, with
     the semantics of that reference composition.
 
-    The convolution runs block by block as in conv2d (see _ConvBlocks).
+    The convolution runs block by block as in conv2d (a _WindowGemm).
     Train mode folds each block's mean and centred sum of squares into the
     batch statistics while the block is in cache (Chan's parallel update),
     then writes out = max(z * s + t, 0) with s = gamma / sqrt(var + eps) and
@@ -581,25 +603,27 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             f"conv_bn_relu() parameter extents {gamma.shape}/{beta.shape} do not "
             f"match channel count {c}"
         )
-    conv = _ConvBlocks(x, kernel, 1, "same")
-    b = x.shape[0]
-    n = b * conv.rows
+    gemm = _WindowGemm(x, kernel, kernel.shape[:2], 1, "same")
+    b, span = x.shape[0], gemm.span
+    n = b * gemm.rows
     parents = (x, kernel, gamma, beta) + (() if bias is None else (bias,))
     graph = not _no_grad_depth and any(p.needs_grad for p in parents)
     # without a graph the output overwrites the conv output z
-    y = np.empty((n, c), dtype=conv.dtype) if graph else None
+    y = np.empty((n, c), dtype=gemm.dtype) if graph else None
 
-    def scale_shift_relu(rows, blk):
-        out = blk if y is None else y[rows]
+    def scale_shift_relu(lo, hi, blk):
+        out = blk if y is None else y[span(lo, hi)]
         np.multiply(blk, s, out=out)
         out += t
         np.maximum(out, 0, out=out)
 
+    bias_data = None if bias is None else bias.data
     if train:
         seen, mu, m2 = 0, 0, 0
 
-        def fold(rows, blk):
+        def fold(lo, hi, blk):
             nonlocal seen, mu, m2
+            blk = blk[0]
             k = blk.shape[0]
             blk_mu = blk.mean(axis=0)
             d = blk - blk_mu
@@ -608,19 +632,19 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             m2 = m2 + np.einsum("ij,ij->j", d, d) + delta * delta * (seen * k / (seen + k))
             seen += k
 
-        z = conv.forward(bias, fold)
+        z = gemm.forward(bias_data, fold)[0]
         var = m2 / n
         inv_std = 1.0 / np.sqrt(var + eps)
         s = gamma.data * inv_std
         t = beta.data - mu * s
-        for rows in conv.row_blocks():
-            scale_shift_relu(rows, z[rows])
+        for lo, hi in gemm.blocks:
+            scale_shift_relu(lo, hi, z[span(lo, hi)])
     else:
         mu = running_mean
         inv_std = 1.0 / np.sqrt(running_var + eps)
         s = gamma.data * inv_std
         t = beta.data - running_mean * s
-        z = conv.forward(bias, scale_shift_relu)
+        z = gemm.forward(bias_data, lambda lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
     if y is None:
         y = z
 
@@ -633,8 +657,8 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
 
         sum_gy = np.zeros(c, dtype=z.dtype)
         sum_gy_xhat = np.zeros(c, dtype=z.dtype)
-        for rows in conv.row_blocks():
-            gy, xhat = relu_grad(rows)
+        for lo, hi in gemm.blocks:
+            gy, xhat = relu_grad(span(lo, hi))
             sum_gy += gy.sum(axis=0)
             sum_gy_xhat += np.einsum("ij,ij->j", gy, xhat)
         if gamma.needs_grad:
@@ -643,21 +667,21 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             beta.accumulate_grad(sum_gy)
         gbias = np.zeros(c, dtype=z.dtype)
 
-        def conv_grad(rows):
-            gz, xhat = relu_grad(rows)
+        def conv_grad(lo, hi):
+            gz, xhat = relu_grad(span(lo, hi))
             if train:
                 # closed-form gradient through the batch statistics
                 gz -= sum_gy / n
                 gz -= xhat * (sum_gy_xhat / n)
             gz *= s
             gbias[...] += gz.sum(axis=0)
-            return gz
+            return gz[None]
 
-        conv.backward(conv_grad)
+        gemm.backward(conv_grad)
         if bias is not None and bias.needs_grad:
             bias.accumulate_grad(gbias)
 
-    out = Tensor(y.reshape(b, conv.wo, conv.ho, c), parents, rule)
+    out = Tensor(y.reshape(b, gemm.wo, gemm.ho, c), parents, rule)
     return (out, mu, var) if train else (out, None, None)
 
 
@@ -667,13 +691,10 @@ def channel_affine(x, weight, bias=None):
     x: (B, W, H, K, M), weight: (M, K, E), bias: (M, E) or None
     out[..., e, m] = sum_k x[..., k, m] * weight[m, k, e] (+ bias[m, e])
 
-    This is the per-channel 1x1 affine of the capsule activation (K = D).
-    The batch is walked in blocks of whole images (see _image_blocks): each
-    block is copied channel first into a block-sized (M, rows, K) GEMM
-    operand, multiplied into a block-sized buffer, shifted by the bias and
-    written into its images of the output, so the output is the only
-    whole-batch array. The rule keeps no operand: it walks the same blocks,
-    copying each block's input channel first again for the weight gradient.
+    This is the per-channel 1x1 affine of the capsule activation (K = D):
+    the (1, 1) "valid" windows of a _WindowGemm. Each block's product goes
+    through a reused block buffer, is shifted by the bias and written into
+    its images of the output, so the output is the only whole-batch array.
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
@@ -690,38 +711,22 @@ def channel_affine(x, weight, bias=None):
     if bias is not None and bias.shape != (m, e):
         raise ConfigurationError(f"channel_affine() bias shape {bias.shape} != ({m}, {e})")
 
-    rows = w * h
-    blocks = _image_blocks(b, rows * m * (k + e) * x.data.itemsize)
-    step = blocks[0][1] * rows
+    gemm = _WindowGemm(x, weight, (1, 1), 1, "valid", count_product=True)
+    out = np.empty((b, w, h, e, m), dtype=gemm.dtype)
 
-    def channel_first(buf, lo, hi):
-        """Images lo..hi of x, copied into buf as the (M, rows, K) operand."""
-        bxt = buf[:, : (hi - lo) * rows]
-        np.copyto(bxt.reshape(m, hi - lo, w, h, k), np.moveaxis(x.data[lo:hi], -1, 0))
-        return bxt
+    def write(lo, hi, blk):
+        np.copyto(out[lo:hi], np.moveaxis(blk.reshape(m, hi - lo, w, h, e), 0, -1))
 
-    xt = np.empty((m, step, k), dtype=x.dtype)
-    y = np.empty((m, step, e), dtype=np.result_type(x.data, weight.data))
-    out = np.empty((b, w, h, e, m), dtype=y.dtype)
-    for lo, hi in blocks:
-        by = y[:, : (hi - lo) * rows]
-        np.matmul(channel_first(xt, lo, hi), weight.data, out=by)
-        if bias is not None:
-            by += bias.data[:, None, :]
-        np.copyto(out[lo:hi], np.moveaxis(by.reshape(m, hi - lo, w, h, e), 0, -1))
+    gemm.forward(None if bias is None else bias.data[:, None, :], write, whole=False)
 
     def rule(node):
-        buf = np.empty((m, step, k), dtype=x.dtype) if weight.needs_grad else None
-        for lo, hi in blocks:
-            nb = hi - lo
+        def grad(lo, hi):
             gt = np.ascontiguousarray(np.moveaxis(node.grad[lo:hi], -1, 0)).reshape(m, -1, e)
-            if weight.needs_grad:
-                weight.accumulate_grad(channel_first(buf, lo, hi).transpose(0, 2, 1) @ gt)
             if bias is not None and bias.needs_grad:
                 bias.accumulate_grad(gt.sum(axis=1))
-            if x.needs_grad:
-                gx = gt @ weight.data.transpose(0, 2, 1)  # (m, rows, k)
-                x.grad[lo:hi] += np.moveaxis(gx.reshape(m, nb, w, h, k), 0, -1)
+            return gt
+
+        gemm.backward(grad)
 
     return Tensor(out, (x, weight) if bias is None else (x, weight, bias), rule)
 
@@ -742,24 +747,19 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
       a[:, p, n]     = softmax over m of the logits
       out[p, :, n]   = sum_m a[m, p, n] * u[m, p, n]
 
-    The batch is walked in blocks of whole images (see _image_blocks); a
-    block may grow to the size of the weight, so a small layer's GEMMs do
-    not re-read a large weight once per block. Each block is zero-padded
-    into one reused buffer, its patches are copied once, channel first,
-    into a block-sized (M, rows, K) GEMM operand, and its u stays in the
-    (M, rows, N, E) layout, so every sum over input channels reduces the
-    leading axis; the weighted sum goes through a block-sized buffer into
-    the block's rows of the output. With a graph the blocks fill the
-    whole-batch u (M, P, N, E) and a (M, P, N), with P = B*Wo*Ho, which the
-    rule keeps, because rebuilding u costs a GEMM; without one they reuse
-    block-sized buffers, so the output is the only whole-batch array.
+    u is the product of a _WindowGemm, whose blocks may grow to the size of
+    the weight, so a small layer's GEMMs do not re-read a large weight once
+    per block. u stays in the (M, rows, N, E) layout, so every sum over
+    input channels reduces the leading axis; the weighted sum goes through a
+    block-sized buffer into the block's rows of the output. With a graph the
+    blocks fill the whole-batch u (M, P, N, E) and a (M, P, N), with
+    P = B*Wo*Ho, which the rule keeps, because rebuilding u costs a GEMM;
+    without one they reuse block-sized buffers, so the output is the only
+    whole-batch array.
 
     The rule walks the same blocks. Per block it takes the softmax
-    backward, builds the gradient of u, gu = a*g + gl*reference (the
-    weighted sum's term and the logits'), copies the block's patches
-    channel first again for the weight gradient, and multiplies gu into
-    the block's patch gradient, which _Windows.scatter_add adds into its
-    images of the caps gradient.
+    backward and hands the GEMM's backward the gradient of u,
+    gu = a*g + gl*reference (the weighted sum's term and the logits').
 
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
@@ -770,64 +770,45 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             f"transform_route() expects rank-5 input, rank-3 weight and rank-3 "
             f"reference, got {caps.shape}, {weight.shape} and {reference.shape}"
         )
-    kw, kh = ksize
     b, _, _, d, m = caps.shape
-    k = kw * kh * d
+    k = ksize[0] * ksize[1] * d
     n, e = reference.shape[:2]
     if weight.shape != (m, k, n * e) or reference.shape[2] != m:
         raise ConfigurationError(
             f"transform_route() weight {weight.shape} and reference {reference.shape} do "
             f"not match {ksize} patches of {caps.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
-    win = _Windows(caps.shape, ksize, stride, padding)
-    wo, ho = win.wo, win.ho
-    rows = wo * ho
-    p = b * rows
+    gemm = _WindowGemm(caps, weight, ksize, stride, padding, count_product=True)
+    p = b * gemm.rows
     parents = (caps, weight, reference)
     graph = not _no_grad_depth and any(t.needs_grad for t in parents)
-    blocks = _image_blocks(b, rows * m * (k + n * e) * caps.data.itemsize, weight.data.nbytes)
-    step = blocks[0][1] * rows
-    span = p if graph else step
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
-
-    def channel_first(buf, nb, view):
-        """A block's (nb, Wo, Ho, kw, kh, D, M) patch view, copied into buf
-        as the (M, nb*rows, K) operand."""
-        bxt = buf[:, : nb * rows]
-        np.copyto(bxt.reshape(m, nb, wo, ho, kw, kh, d), np.moveaxis(view, -1, 0))
-        return bxt
-
-    xt = np.empty((m, step, k), dtype=caps.dtype)
-    u = np.empty((m, span, n * e), dtype=np.result_type(caps.data, weight.data))
-    routed = np.result_type(u, ref)
+    routed = np.result_type(gemm.dtype, ref)
     a = np.empty((m, p, n), dtype=routed) if graph else None
     # einsum writes the (rows, N, E) weighted sum about 4x faster into a
     # contiguous buffer than into the output's transposed view
-    wsum = np.empty((step, n, e), dtype=routed)
+    wsum = np.empty((gemm.step, n, e), dtype=routed)
     out = np.empty((p, e, n), dtype=routed)
-    for (lo, hi), view in zip(blocks, win.patches(caps.data, blocks)):
-        nb = hi - lo
-        off = lo * rows if graph else 0
-        bu = u[:, off:off + nb * rows]
-        np.matmul(channel_first(xt, nb, view), weight.data, out=bu)
-        bu = bu.reshape(m, nb * rows, n, e)
+
+    def route(lo, hi, bu):
+        r = gemm.span(lo, hi)
+        bu = bu.reshape(m, -1, n, e)
         logits = np.einsum("mpne,mne->mpn", bu, ref)
         if not np.all(np.isfinite(logits)):
             raise ComputationError("transform_route() produced non-finite routing logits")
-        ba = logits if a is None else a[:, lo * rows:hi * rows]
+        ba = logits if a is None else a[:, r]
         np.subtract(logits, logits.max(axis=0), out=ba)
         np.exp(ba, out=ba)
         ba /= ba.sum(axis=0)
-        bsum = wsum[: nb * rows]
+        bsum = wsum[: bu.shape[1]]
         np.einsum("mpn,mpne->pne", ba, bu, out=bsum)
-        np.copyto(out[lo * rows:hi * rows], bsum.transpose(0, 2, 1))
-    u = u.reshape(m, span, n, e)
+        np.copyto(out[r], bsum.transpose(0, 2, 1))
+
+    u = gemm.forward(each=route, whole=graph).reshape(m, -1, n, e)
 
     def rule(node):
-        buf = np.empty((m, step, k), dtype=caps.dtype) if weight.needs_grad else None
-        views = win.patches(caps.data, blocks) if weight.needs_grad else [None] * len(blocks)
-        for (lo, hi), view in zip(blocks, views):
-            nb, r = hi - lo, slice(lo * rows, hi * rows)
+        def grad(lo, hi):
+            r = gemm.span(lo, hi)
             g = np.ascontiguousarray(node.grad.reshape(p, e, n)[r].transpose(0, 2, 1))
             bu, ba = u[:, r], a[:, r]
             # softmax backward: d logit = a * (d a - sum_m a * d a)
@@ -836,17 +817,11 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             if reference.needs_grad:
                 reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, bu))
             # u feeds both the weighted sum and the logits
-            gu = (ba[..., None] * g + gl[..., None] * ref[:, None]).reshape(m, nb * rows, n * e)
-            if weight.needs_grad:
-                weight.accumulate_grad(channel_first(buf, nb, view).transpose(0, 2, 1) @ gu)
-            if caps.needs_grad:
-                gx = gu @ weight.data.transpose(0, 2, 1)  # (m, rows, k)
-                # the scatter runs faster from the patch layout than from a
-                # view that reads m at a large stride
-                gcols = np.moveaxis(gx.reshape(m, nb, wo, ho, kw, kh, d), 0, -1)
-                win.scatter_add(caps.grad, lo, hi, np.ascontiguousarray(gcols))
+            return (ba[..., None] * g + gl[..., None] * ref[:, None]).reshape(m, -1, n * e)
 
-    return Tensor(out.reshape(b, wo, ho, e, n), parents, rule)
+        gemm.backward(grad)
+
+    return Tensor(out.reshape(b, gemm.wo, gemm.ho, e, n), parents, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def blocks_of_two(monkeypatch):
     return walked
 
 
+def corrupt_headers(raw):
+    """Copies of the checkpoint bytes ``raw``, each with one declared size far
+    beyond the file: a 2^62 metadata length, a 2^62 name length of the first
+    record, and the first record made rank 2 with extents (2^40, 2^20)."""
+    meta_len = int.from_bytes(raw[8:16], "little")
+    rec = 16 + meta_len
+    name_len = int.from_bytes(raw[rec:rec + 8], "little")
+    rank_at = rec + 8 + name_len
+
+    def put(data, offset, *values):
+        packed = b"".join(v.to_bytes(8, "little") for v in values)
+        return data[:offset] + packed + data[offset + len(packed):]
+
+    return [put(raw, 8, 1 << 62), put(raw, rec, 1 << 62),
+            put(raw, rank_at, 2, 1 << 40, 1 << 20)]
+
+
 def routing_logits(x, ref):
     """The routing logits <x[..., :, m], ref[:, m]> with which transform_route
     weighs (B, W, H, D, M) predictions against a (D, M) reference, read back

@@ -245,15 +245,6 @@ class TestCosineHistogram:
             assert counts.sum() == len(values) == 10
             assert np.all(values >= -1.0) and np.all(values <= 1.0)
 
-    def test_pos_neg_cosine_end_to_end(self, untrained_model, digits_test):
-        from arcaps.analysis import pos_neg_cosine
-
-        out = pos_neg_cosine(untrained_model, digits_test, sample_count=5,
-                             seed=2, bins=50)
-        assert set(out) == {"Rot", "x", "y"}
-        for _, counts, values in out.values():
-            assert counts.sum() == len(values) == 5
-
 
 class TestPerturbation:
     def test_offsets_arithmetic(self):

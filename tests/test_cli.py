@@ -6,9 +6,11 @@ import pytest
 from arcaps import config as cfgmod
 from arcaps.cli import main
 from arcaps.errors import ConfigurationError
-from arcaps.model import standard_stack
+from arcaps.model import ArCapsNet, standard_stack
+from arcaps.train import save_model
 
 import digitgen
+from conftest import corrupt_headers
 
 
 class TestConfigParsing:
@@ -112,6 +114,14 @@ class TestCli:
         code = main(["train", "--out-dir", str(tmp_path), "--epochs", "0"])
         # no dataset in cwd/env: data error
         assert code == 2
+
+    def test_corrupt_checkpoint_header_maps_to_exit_2(self, tmp_path, capsys, tiny_config,
+                                                      tiny_run_config):
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, ArCapsNet(tiny_config, seed=0), tiny_run_config)
+        ckpt.write_bytes(corrupt_headers(ckpt.read_bytes())[0])
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+        assert "truncated checkpoint: metadata declares" in capsys.readouterr().err
 
     def test_train_epochs_zero_writes_checkpoint(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

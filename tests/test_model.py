@@ -13,6 +13,7 @@ from arcaps.model import (ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters
                           standard_stack)
 from arcaps.train import load_model, save_model
 from arcaps.config import RunConfig
+from conftest import corrupt_headers
 
 
 MNIST_CONFIG = ModelConfig()
@@ -274,6 +275,12 @@ class TestCheckpoint:
         p.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(InputDataError, match="truncated"):
             load_model(p)
+        # a declared size beyond the file is refused, with its offset, before
+        # anything that large is read or allocated
+        for corrupt in corrupt_headers(raw):
+            p.write_bytes(corrupt)
+            with pytest.raises(InputDataError, match="truncated checkpoint: .* at offset"):
+                load_model(p)
 
     def test_forward_identical_after_round_trip(self, tmp_path, rng, tiny_config, tiny_run_config):
         net = ArCapsNet(tiny_config, seed=4)

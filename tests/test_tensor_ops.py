@@ -68,24 +68,6 @@ class TestConv2d:
         assert x.grad.shape == x.shape and np.any(kern.grad != 0)
         assert peak < patch_matrix, (peak, patch_matrix)
 
-    def test_input_gradient_adds_to_an_existing_one(self, rng, monkeypatch):
-        # x feeds the convolution and a second op: both gradients add up
-        x = rng.standard_normal((5, 5, 5, 2))
-        kern = rng.standard_normal((3, 3, 2, 3))
-        marker = T.leaf(rng.standard_normal((5, 3, 3, 3)))
-        blocks_of_two(monkeypatch)
-        grads = []
-        for conv_first in (True, False):
-            xt = T.leaf(x, needs_grad=True)
-            conv = T.sum_all(T.mul(T.conv2d(xt, T.leaf(kern), None, 2, "same"), marker))
-            square = T.sum_all(T.square(xt))
-            T.backward(T.add(conv, square) if conv_first else T.add(square, conv))
-            grads.append(xt.grad)
-        conv_only = T.leaf(x, needs_grad=True)
-        T.backward(T.sum_all(T.mul(T.conv2d(conv_only, T.leaf(kern), None, 2, "same"), marker)))
-        for g in grads:
-            assert np.allclose(g, conv_only.grad + 2 * x, rtol=1e-12, atol=1e-12)
-
     def test_output_extents(self):
         x = T.leaf(np.zeros((1, 28, 28, 1), dtype=np.float32))
         k = T.leaf(np.zeros((3, 3, 1, 4), dtype=np.float32))
@@ -175,9 +157,51 @@ BLOCKED_ROUTE_CASES = [(geometry, graph)
                        for graph in (True, False)]
 
 
+def _input_gradient_case(case, rng):
+    """(x, op) of a test_input_gradient_adds_to_an_existing_one case: five
+    images and the op as a function of its input node."""
+    if case.startswith("conv2d"):
+        stride, padding = (2, "same") if case == "conv2d-stride2-same" else (1, "valid")
+        kern = T.leaf(rng.standard_normal((3, 3, 2, 3)))
+        return (rng.standard_normal((5, 5, 5, 2)),
+                lambda x: T.conv2d(x, kern, None, stride, padding))
+    if case == "channel_affine":
+        weight = T.leaf(rng.standard_normal((3, 4, 5)))
+        bias = T.leaf(rng.standard_normal((3, 5)))
+        return rng.standard_normal((5, 3, 2, 4, 3)), lambda x: T.channel_affine(x, weight, bias)
+    # 3x3 "valid" windows over 3x3 capsules: one position per image
+    weight = T.leaf(rng.standard_normal((3, 9 * 2, 2 * 4)) * 0.3)
+    ref = T.leaf(rng.standard_normal((2, 4, 3)))
+    return (rng.standard_normal((5, 3, 3, 2, 3)),
+            lambda x: T.transform_route(x, weight, ref, (3, 3), 1, "valid"))
+
+
 class TestBlockedOps:
-    """transform_route and channel_affine walk five images in blocks of two,
-    the last one ragged."""
+    """conv2d, transform_route and channel_affine walk five images in blocks
+    of two, the last one ragged."""
+
+    @pytest.mark.parametrize("case", ["conv2d-stride2-same", "conv2d-stride1-valid",
+                                      "channel_affine", "transform_route-whole-extent-valid"])
+    def test_input_gradient_adds_to_an_existing_one(self, rng, monkeypatch, case):
+        # x feeds the op and square: both gradients add up, whether the op's
+        # patch gradient goes through the padded scatter buffer ("same") or
+        # straight into x's gradient (unpadded windows, overlapping in the
+        # stride-1 "valid" conv)
+        x, op = _input_gradient_case(case, rng)
+        marker = T.leaf(rng.standard_normal(op(T.leaf(x)).shape))
+        walked = blocks_of_two(monkeypatch)
+
+        def x_grad(*terms):
+            xt = T.leaf(x, needs_grad=True)
+            losses = [T.sum_all(T.mul(op(xt), marker)) if term == "op" else
+                      T.sum_all(T.square(xt)) for term in terms]
+            T.backward(T.add(*losses) if len(losses) == 2 else losses[0])
+            return xt.grad
+
+        op_only = x_grad("op")
+        assert walked == [[(0, 2), (2, 4), (4, 5)]]
+        for terms in (("op", "square"), ("square", "op")):
+            assert np.allclose(x_grad(*terms), op_only + 2 * x, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("geometry,graph", BLOCKED_ROUTE_CASES, ids=[
         f"{g[0][0]}x{g[0][1]}-{g[1]}-{g[2]}-{'graph' if graph else 'no-grad'}"
