@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import rotate_image, translate_image
-from .errors import ComputationError, InputDataError
+from .errors import InputDataError
 from .model import ArCapsNet
 
 FAMILY_NAMES = ("Rot+", "x+", "y+", "Rot-", "x-", "y-")
@@ -52,30 +52,19 @@ def family_transforms(name):
 # align vector machinery
 
 
-def align_vector(diffs, tol=1e-10, max_iter=10000):
+def align_vector(diffs):
     """Dominant direction of a stack of difference vectors.
 
     Returns (v, coeffs): the unit top right-singular vector of the (N, D)
-    matrix, computed by power iteration on the Gram matrix, oriented so the
-    coefficient sum is non-negative; coeffs[i] is the projection of row i.
+    matrix, taken from one SVD, oriented so the coefficient sum is
+    non-negative; coeffs[i] is the projection of row i.
     """
     v_rows = np.asarray(diffs, dtype=np.float64)
     if v_rows.ndim != 2:
         raise InputDataError(f"align_vector() needs a matrix, got shape {v_rows.shape}")
-    norms = np.linalg.norm(v_rows, axis=1)
-    if not np.any(norms > 0):
+    if not np.any(np.linalg.norm(v_rows, axis=1) > 0):
         raise InputDataError("align_vector() needs at least one nonzero row")
-    w = v_rows[int(np.argmax(norms))] / norms.max()
-    for _ in range(max_iter):
-        z = v_rows.T @ (v_rows @ w)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            raise ComputationError("power iteration collapsed to zero")
-        z /= nz
-        if np.max(np.abs(z - w)) < tol:
-            w = z
-            break
-        w = z
+    w = np.linalg.svd(v_rows, full_matrices=False)[2][0]
     coeffs = v_rows @ w
     if coeffs.sum() < 0:
         w = -w
@@ -127,7 +116,7 @@ def random_baseline_fitted(dim=32, vectors=5, trials=1000, seed=0):
 
     Identical sampling to :func:`random_baseline`, but the ratios are
     measured against the fitted align vector (the top right-singular
-    direction found by the same power iteration the model analysis uses).
+    direction that :func:`align_vector` finds for the model analysis too).
     This is the statistically matched reference for trained-vs-untrained
     comparisons. Returns (mean, std).
     """

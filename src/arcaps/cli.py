@@ -1,14 +1,17 @@
 """Command-line entry point.
 
 Subcommands: train, eval, analyze-align, analyze-perturb, count-params,
-selftest. Exit codes: 0 success, 1 usage/configuration error, 2 data
-error, 3 numerical failure.
+selftest. The run config is the --config file, else the --checkpoint's
+run config, else the defaults; a subcommand's flags apply on top. Exit
+codes: 0 success, 1 usage/configuration error, 2 data error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,48 +36,41 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="arcaps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, checkpoint=False):
+    settings = {f.name: f.metadata for f in fields(cfgmod.RunConfig)}
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if flags is None:
+            continue
         p.add_argument("--config", help="path to a section.key = value config file")
-        p.add_argument("--seed", type=int, help="override train.seed")
-        p.add_argument("--epochs", type=int, help="override train.epochs")
-        p.add_argument("--batch-size", type=int, help="override train.batch_size")
-        p.add_argument("--out-dir", help="override train.out_dir")
-        p.add_argument("--samples", type=int, help="override analyze.samples")
-        if checkpoint:
+        if name in _CHECKPOINT_COMMANDS:
             p.add_argument("--checkpoint", required=True,
                            help="model checkpoint to load")
-
-    common(sub.add_parser("train", help="train a model and checkpoint the best epoch"))
-    common(sub.add_parser("eval", help="evaluate a checkpoint on the test set"),
-           checkpoint=True)
-    common(sub.add_parser("analyze-align",
-                          help="alignment-ratio tables, cosine histograms, baselines"),
-           checkpoint=True)
-    common(sub.add_parser("analyze-perturb",
-                          help="per-dimension perturbation reconstruction grids"),
-           checkpoint=True)
-    common(sub.add_parser("count-params", help="print the parameter-count breakdown"))
-    common(sub.add_parser("selftest", help="gradient checks and oracle comparisons"))
+        for attr in flags:
+            key, tag = settings[attr]["key"], settings[attr]["tag"]
+            p.add_argument("--" + attr.replace("_", "-"), dest=attr,
+                           type=cfgmod.PARSERS[tag], help=f"override {key}")
     return parser
 
 
-def _load_run_config(args):
-    cfg = cfgmod.RunConfig()
+def _run_config(args, base=None):
+    """The --config file, else ``base``, else the defaults; then the flags."""
     if args.config:
-        cfg = cfgmod.parse_file(args.config)
-    overrides = {
-        "seed": args.seed, "epochs": args.epochs, "batch_size": args.batch_size,
-        "out_dir": args.out_dir, "samples": args.samples,
-    }
-    lines = []
-    for attr, value in overrides.items():
-        if value is not None:
-            key = cfgmod._ATTR_TO_KEY[attr]
-            lines.append(f"{key} = {value}")
-    if lines:
-        cfg = cfgmod.parse_lines(lines, base=cfg, source="<flags>")
-    return cfg
+        base = cfgmod.parse_file(args.config)
+    elif base is None:
+        base = cfgmod.RunConfig()
+    flags = {attr: getattr(args, attr) for attr in _COMMANDS[args.command][2]}
+    return replace(base, **{a: v for a, v in flags.items() if v is not None})
+
+
+def _checkpoint_run(args):
+    """Model, resolved run config and test set (padded to the checkpoint's
+    canvas) of a command that reads --checkpoint."""
+    model, ckpt_cfg, _ = load_model(args.checkpoint)
+    cfg = _run_config(args, base=ckpt_cfg)
+    dataset = _dataset(cfg, "test")
+    if ckpt_cfg.pad_to:
+        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
+    return model, cfg, dataset
 
 
 def _dataset(cfg: cfgmod.RunConfig, split):
@@ -97,7 +93,7 @@ def _echo_config(cfg, out_dir):
 
 
 def _cmd_train(args):
-    cfg = _load_run_config(args)
+    cfg = _run_config(args)
     _echo_config(cfg, cfg.out_dir)
     dataset = _dataset(cfg, "train")
     run = train(cfg, dataset, progress=print)
@@ -107,13 +103,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    cfg = _load_run_config(args)
-    model, ckpt_cfg, _ = load_model(args.checkpoint)
-    data_cfg = cfg if args.config else ckpt_cfg
-    dataset = _dataset(data_cfg, "test")
-    if ckpt_cfg.pad_to:
-        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
-    result = evaluate(model, dataset, data_cfg.batch_size)
+    model, cfg, dataset = _checkpoint_run(args)
+    result = evaluate(model, dataset, cfg.batch_size)
     print(f"accuracy {result.accuracy:.4f}")
     print(f"loss total {result.total_loss:.6f} margin {result.margin_loss:.6f} "
           f"recon {result.recon_loss:.6f}")
@@ -124,18 +115,12 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze_align(args):
-    cfg = _load_run_config(args)
-    model, ckpt_cfg, _ = load_model(args.checkpoint)
-    data_cfg = cfg if args.config else ckpt_cfg
-    out = Path(cfg.out_dir if args.out_dir or args.config else ckpt_cfg.out_dir)
+    model, cfg, dataset = _checkpoint_run(args)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _dataset(data_cfg, "test")
-    if ckpt_cfg.pad_to:
-        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
-    samples = args.samples if args.samples is not None else data_cfg.samples
 
     report = analysis.alignment_experiment(
-        model, dataset, samples, data_cfg.families, seed=data_cfg.seed)
+        model, dataset, cfg.samples, cfg.families, seed=cfg.seed)
     (out / "alignment_ratios.csv").write_text(report.to_csv(), encoding="utf-8")
 
     hists = analysis.cosine_histogram(report)
@@ -147,9 +132,9 @@ def _cmd_analyze_align(args):
 
     d = model.config.out_dim
     mean, std = analysis.random_baseline(dim=d, vectors=5, trials=1000,
-                                         seed=data_cfg.seed)
+                                         seed=cfg.seed)
     fit_mean, fit_std = analysis.random_baseline_fitted(
-        dim=d, vectors=5, trials=1000, seed=data_cfg.seed)
+        dim=d, vectors=5, trials=1000, seed=cfg.seed)
     (out / "random_baseline.csv").write_text(
         "baseline,mean,std\n"
         f"reference_recipe,{mean:.6f},{std:.6f}\n"
@@ -157,7 +142,7 @@ def _cmd_analyze_align(args):
         encoding="utf-8")
 
     overall = report.overall_mean()
-    print(f"mean alignment ratio over {samples} samples: {overall:.4f}")
+    print(f"mean alignment ratio over {cfg.samples} samples: {overall:.4f}")
     print(f"random baseline (reference recipe, D={d}): {mean:.4f} +- {std:.4f}")
     print(f"random baseline (fitted procedure, D={d}): {fit_mean:.4f} +- {fit_std:.4f}")
     print(f"tables in {out}")
@@ -165,16 +150,11 @@ def _cmd_analyze_align(args):
 
 
 def _cmd_analyze_perturb(args):
-    cfg = _load_run_config(args)
-    model, ckpt_cfg, _ = load_model(args.checkpoint)
-    data_cfg = cfg if args.config else ckpt_cfg
-    out = Path(cfg.out_dir if args.out_dir or args.config else ckpt_cfg.out_dir)
+    model, cfg, dataset = _checkpoint_run(args)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _dataset(data_cfg, "test")
-    if ckpt_cfg.pad_to:
-        dataset = pad_dataset(dataset, ckpt_cfg.pad_to, ckpt_cfg.pad_to)
 
-    dims = data_cfg.dimensions or tuple(range(model.config.out_dim))
+    dims = cfg.dimensions or tuple(range(model.config.out_dim))
     mc = model.config
     written = 0
     for class_id in range(mc.classes):
@@ -196,7 +176,7 @@ def _cmd_analyze_perturb(args):
 
 
 def _cmd_count_params(args):
-    cfg = _load_run_config(args)
+    cfg = _run_config(args)
     total, rows = count_parameters(cfg.model_config())
     width = max(len(name) for name, _ in rows)
     for name, n in rows:
@@ -210,21 +190,28 @@ def _cmd_selftest(args):
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+# subcommand -> (handler, help, RunConfig attributes it takes as flags);
+# None = no --config either
 _COMMANDS = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "analyze-align": _cmd_analyze_align,
-    "analyze-perturb": _cmd_analyze_perturb,
-    "count-params": _cmd_count_params,
-    "selftest": _cmd_selftest,
+    "train": (_cmd_train, "train a model and checkpoint the best epoch",
+              ("seed", "epochs", "batch_size", "out_dir")),
+    "eval": (_cmd_eval, "evaluate a checkpoint on the test set", ("batch_size",)),
+    "analyze-align": (_cmd_analyze_align,
+                      "alignment-ratio tables, cosine histograms, baselines",
+                      ("seed", "out_dir", "samples")),
+    "analyze-perturb": (_cmd_analyze_perturb,
+                        "per-dimension perturbation reconstruction grids", ("out_dir",)),
+    "count-params": (_cmd_count_params, "print the parameter-count breakdown", ()),
+    "selftest": (_cmd_selftest, "gradient checks and oracle comparisons", None),
 }
+_CHECKPOINT_COMMANDS = ("eval", "analyze-align", "analyze-perturb")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,95 +4,65 @@ Format: one ``section.key = value`` per line, ``#`` starts a comment,
 blank lines ignored. Unknown keys are rejected with their line number so
 typos never pass silently. An empty file resolves to the default
 architecture (28x28 grayscale, ten classes).
+
+Each ``RunConfig`` field declares its own key and type tag; the parser,
+the serializer and the CLI flags all read them from ``fields(RunConfig)``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .model import ModelConfig, standard_stack
 
 DATA_DIR_ENV = "ARCAPS_DATA_DIR"
 
-# key -> (attribute, type tag); defaults live in RunConfig
-_SCHEMA = {
-    "model.input_width": ("input_width", "int"),
-    "model.input_height": ("input_height", "int"),
-    "model.input_channels": ("input_channels", "int"),
-    "model.stem_width": ("stem_width", "int"),
-    "model.primary_dim": ("primary_dim", "int"),
-    "model.primary_channels": ("primary_channels", "int"),
-    "model.conv_caps": ("conv_caps", "int"),
-    "model.caps_dim": ("caps_dim", "int"),
-    "model.caps_channels": ("caps_channels", "int"),
-    "model.residual": ("residual", "bool"),
-    "model.classes": ("classes", "int"),
-    "model.decoder_widths": ("decoder_widths", "ints"),
-    "loss.m_plus": ("m_plus", "float"),
-    "loss.m_minus": ("m_minus", "float"),
-    "loss.lambda": ("loss_lambda", "float"),
-    "loss.recon_scale": ("recon_scale", "float"),
-    "data.kind": ("kind", "str"),
-    "data.dir": ("data_dir", "str"),
-    "data.train_images": ("train_images", "str"),
-    "data.train_labels": ("train_labels", "str"),
-    "data.test_images": ("test_images", "str"),
-    "data.test_labels": ("test_labels", "str"),
-    "data.translate": ("translate", "float"),
-    "data.rotate": ("rotate", "float"),
-    "data.flip": ("flip", "bool"),
-    "data.pad_to": ("pad_to", "int"),
-    "train.epochs": ("epochs", "int"),
-    "train.batch_size": ("batch_size", "int"),
-    "train.seed": ("seed", "int"),
-    "train.out_dir": ("out_dir", "str"),
-    "analyze.samples": ("samples", "int"),
-    "analyze.families": ("families", "strs"),
-    "analyze.dimensions": ("dimensions", "ints"),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}
-
 _INPUT_SHAPES = {"mnist": (28, 28, 1), "cifar10": (32, 32, 3)}
+
+
+def _setting(key, tag, default):
+    return field(default=default, metadata={"key": key, "tag": tag})
 
 
 @dataclass
 class RunConfig:
-    input_width: int = 0   # 0 = derive from data.kind / data.pad_to
-    input_height: int = 0
-    input_channels: int = 0
-    stem_width: int = 64
-    primary_dim: int = 16
-    primary_channels: int = 8
-    conv_caps: int = 1
-    caps_dim: int = 32
-    caps_channels: int = 8
-    residual: bool = True
-    classes: int = 10
-    decoder_widths: tuple = (512, 512)
-    m_plus: float = 0.9
-    m_minus: float = 0.1
-    loss_lambda: float = 0.5
-    recon_scale: float = 0.3
-    kind: str = "mnist"
-    data_dir: str = ""
-    train_images: str = "train-images-idx3-ubyte"
-    train_labels: str = "train-labels-idx1-ubyte"
-    test_images: str = "t10k-images-idx3-ubyte"
-    test_labels: str = "t10k-labels-idx1-ubyte"
-    translate: float = 0.0
-    rotate: float = 0.0
-    flip: bool = False
-    pad_to: int = 0
-    epochs: int = 20
-    batch_size: int = 100
-    seed: int = 0
-    out_dir: str = "out"
-    samples: int = 10000
-    families: tuple = ("Rot+", "x+", "y+", "Rot-", "x-", "y-")
-    dimensions: tuple = ()
+    # 0 = derive from data.kind / data.pad_to
+    input_width: int = _setting("model.input_width", "int", 0)
+    input_height: int = _setting("model.input_height", "int", 0)
+    input_channels: int = _setting("model.input_channels", "int", 0)
+    stem_width: int = _setting("model.stem_width", "int", 64)
+    primary_dim: int = _setting("model.primary_dim", "int", 16)
+    primary_channels: int = _setting("model.primary_channels", "int", 8)
+    conv_caps: int = _setting("model.conv_caps", "int", 1)
+    caps_dim: int = _setting("model.caps_dim", "int", 32)
+    caps_channels: int = _setting("model.caps_channels", "int", 8)
+    residual: bool = _setting("model.residual", "bool", True)
+    classes: int = _setting("model.classes", "int", 10)
+    decoder_widths: tuple = _setting("model.decoder_widths", "ints", (512, 512))
+    m_plus: float = _setting("loss.m_plus", "float", 0.9)
+    m_minus: float = _setting("loss.m_minus", "float", 0.1)
+    loss_lambda: float = _setting("loss.lambda", "float", 0.5)
+    recon_scale: float = _setting("loss.recon_scale", "float", 0.3)
+    kind: str = _setting("data.kind", "str", "mnist")
+    data_dir: str = _setting("data.dir", "str", "")
+    train_images: str = _setting("data.train_images", "str", "train-images-idx3-ubyte")
+    train_labels: str = _setting("data.train_labels", "str", "train-labels-idx1-ubyte")
+    test_images: str = _setting("data.test_images", "str", "t10k-images-idx3-ubyte")
+    test_labels: str = _setting("data.test_labels", "str", "t10k-labels-idx1-ubyte")
+    translate: float = _setting("data.translate", "float", 0.0)
+    rotate: float = _setting("data.rotate", "float", 0.0)
+    flip: bool = _setting("data.flip", "bool", False)
+    pad_to: int = _setting("data.pad_to", "int", 0)
+    epochs: int = _setting("train.epochs", "int", 20)
+    batch_size: int = _setting("train.batch_size", "int", 100)
+    seed: int = _setting("train.seed", "int", 0)
+    out_dir: str = _setting("train.out_dir", "str", "out")
+    samples: int = _setting("analyze.samples", "int", 10000)
+    families: tuple = _setting("analyze.families", "strs",
+                               ("Rot+", "x+", "y+", "Rot-", "x-", "y-"))
+    dimensions: tuple = _setting("analyze.dimensions", "ints", ())
 
     def resolved_data_dir(self):
         if self.data_dir:
@@ -143,28 +113,25 @@ class RunConfig:
         )
 
 
-def _parse_value(tag, raw, key, lineno):
-    raw = raw.strip()
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if tag == "ints":
-            return tuple(int(p) for p in raw.split(",") if p.strip()) if raw else ()
-        if tag == "strs":
-            return tuple(p.strip() for p in raw.split(",") if p.strip()) if raw else ()
-        return raw
-    except ValueError:
-        raise ConfigurationError(
-            f"line {lineno}: cannot parse {key} value {raw!r} as {tag}") from None
+def _parse_bool(raw):
+    low = raw.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _items(raw):
+    return [p.strip() for p in raw.split(",") if p.strip()]
+
+
+# type tag -> parser of a stripped value; raises ValueError
+PARSERS = {
+    "int": int, "float": float, "str": str, "bool": _parse_bool,
+    "ints": lambda raw: tuple(int(p) for p in _items(raw)),
+    "strs": lambda raw: tuple(_items(raw)),
+}
 
 
 def _format_value(tag, value):
@@ -179,6 +146,7 @@ def parse_lines(lines, base=None, source="<config>"):
     """Apply ``section.key = value`` lines on top of a base RunConfig."""
     cfg = base if base is not None else RunConfig()
     values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    by_key = {f.metadata["key"]: f for f in fields(RunConfig)}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -187,11 +155,15 @@ def parse_lines(lines, base=None, source="<config>"):
             raise ConfigurationError(
                 f"{source} line {lineno}: expected 'section.key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
+        key, raw = key.strip(), raw.strip()
+        if key not in by_key:
             raise ConfigurationError(f"{source} line {lineno}: unknown key {key!r}")
-        attr, tag = _SCHEMA[key]
-        values[attr] = _parse_value(tag, raw, key, lineno)
+        tag = by_key[key].metadata["tag"]
+        try:
+            values[by_key[key].name] = PARSERS[tag](raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"line {lineno}: cannot parse {key} value {raw!r} as {tag}") from None
     return RunConfig(**values)
 
 
@@ -202,7 +174,6 @@ def parse_file(path, base=None):
 
 def serialize(cfg: RunConfig):
     """Full key = value text; parse_lines() of the result reproduces cfg."""
-    out = []
-    for key, (attr, tag) in _SCHEMA.items():
-        out.append(f"{key} = {_format_value(tag, getattr(cfg, attr))}")
-    return "\n".join(out) + "\n"
+    return "".join(f"{f.metadata['key']} = "
+                   f"{_format_value(f.metadata['tag'], getattr(cfg, f.name))}\n"
+                   for f in fields(RunConfig))

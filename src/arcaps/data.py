@@ -67,9 +67,6 @@ class AugmentPolicy:
                 and not self.horizontal_flip and self.pad_to is None)
 
 
-ZERO_POLICY = AugmentPolicy()
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

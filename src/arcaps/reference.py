@@ -127,7 +127,7 @@ def jacobi_eigh(a, tol=1e-12, max_sweeps=100):
 
     Returns (eigenvalues, eigenvectors) sorted descending; column k of the
     eigenvector matrix belongs to eigenvalue k. Independent of any LAPACK
-    path, used to cross-check the power iteration.
+    path, used to cross-check the SVD behind the align vector.
     """
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import arcaps.analysis
+import arcaps.cli
 from arcaps import config as cfgmod
 from arcaps.cli import main
 from arcaps.errors import ConfigurationError
@@ -195,3 +197,57 @@ class TestCli:
         assert main(["train", "--config", str(cfg), "--epochs", "1"]) == 0
         assert list(workdir.iterdir()) == []
         assert (out_dir / "metrics.csv").exists()
+
+
+class TestFlagResolution:
+    """Without --config the checkpoint's run config is the base, and the
+    flags apply on top of it."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        data_dir = tmp_path / "data"
+        digitgen.write_dataset(data_dir, train_count=10, test_count=12, seed=0)
+        cfg = cfgmod.RunConfig(stem_width=3, primary_dim=2, primary_channels=2,
+                               conv_caps=0, caps_dim=3, decoder_widths=(6,),
+                               data_dir=str(data_dir), batch_size=10, seed=0,
+                               samples=2, out_dir=str(tmp_path / "run"))
+        path = tmp_path / "model.ckpt"
+        save_model(path, ArCapsNet(cfg.model_config(), seed=0), cfg)
+        return str(path)
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        calls, real = [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_eval_batch_size_flag_overrides_checkpoint(self, checkpoint, monkeypatch,
+                                                       capsys):
+        calls = self._spy(monkeypatch, arcaps.cli, "evaluate")
+        assert main(["eval", "--checkpoint", checkpoint, "--batch-size", "7"]) == 0
+        (args, kwargs), = calls
+        assert args[2] == 7
+
+    def test_analyze_align_seed_flag_overrides_checkpoint(self, checkpoint, monkeypatch,
+                                                          capsys):
+        calls = self._spy(monkeypatch, arcaps.analysis, "alignment_experiment")
+        assert main(["analyze-align", "--checkpoint", checkpoint, "--seed", "5"]) == 0
+        (args, kwargs), = calls
+        assert kwargs["seed"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--config", "x"],
+        ["selftest", "--epochs", "1"],
+        ["count-params", "--seed", "1"],
+        ["eval", "--checkpoint", "c", "--out-dir", "d"],
+        ["analyze-perturb", "--checkpoint", "c", "--samples", "2"],
+        ["train", "--samples", "2"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
