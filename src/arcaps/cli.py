@@ -77,13 +77,13 @@ def _dataset(cfg: cfgmod.RunConfig, split):
     root = Path(cfg.resolved_data_dir())
     if cfg.kind == "mnist":
         if split == "train":
-            return load_idx(root / cfg.train_images, root / cfg.train_labels, "train")
-        return load_idx(root / cfg.test_images, root / cfg.test_labels, "test")
+            return load_idx(root / cfg.train_images, root / cfg.train_labels)
+        return load_idx(root / cfg.test_images, root / cfg.test_labels)
     if split == "train":
         paths = [root / f"data_batch_{i}.bin" for i in range(1, 6)]
         paths = [p for p in paths if p.exists()] or [root / "data_batch_1.bin"]
-        return load_cifar10(paths, "train")
-    return load_cifar10(root / "test_batch.bin", "test")
+        return load_cifar10(paths)
+    return load_cifar10(root / "test_batch.bin")
 
 
 def _echo_config(cfg, out_dir):

@@ -163,7 +163,7 @@ def parse_lines(lines, base=None, source="<config>"):
             values[by_key[key].name] = PARSERS[tag](raw)
         except ValueError:
             raise ConfigurationError(
-                f"line {lineno}: cannot parse {key} value {raw!r} as {tag}") from None
+                f"{source} line {lineno}: cannot parse {key} value {raw!r} as {tag}") from None
     return RunConfig(**values)
 
 

@@ -25,14 +25,12 @@ class Dataset:
     images: np.ndarray  # (count, rows, cols, channels) float32 in [0, 1]
     labels: np.ndarray  # (count,) int64
     classes: int
-    split_tag: str = "train"
 
     def __len__(self):
         return self.images.shape[0]
 
-    def subset(self, indices, split_tag=None):
-        return Dataset(self.images[indices], self.labels[indices],
-                       self.classes, split_tag or self.split_tag)
+    def subset(self, indices):
+        return Dataset(self.images[indices], self.labels[indices], self.classes)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def _read_be_u32(fh, path, what):
     return struct.unpack(">I", buf)[0]
 
 
-def load_idx(images_path, labels_path, split_tag="train", classes=10):
+def load_idx(images_path, labels_path, classes=10):
     """Parse an IDX image/label file pair into a Dataset.
 
     Big-endian container: magic, dimension extents, raw bytes. Pixels are
@@ -121,10 +119,10 @@ def load_idx(images_path, labels_path, split_tag="train", classes=10):
     if count and labels.max() >= classes:
         raise InputDataError(
             f"{labels_path}: label {labels.max()} outside [0, {classes})")
-    return Dataset(images, labels, classes, split_tag)
+    return Dataset(images, labels, classes)
 
 
-def load_cifar10(paths, split_tag="train"):
+def load_cifar10(paths):
     """Parse CIFAR-10 binary batch files (one path or a list of paths).
 
     Each record is a label byte followed by 3072 channel-planar RGB bytes.
@@ -150,8 +148,7 @@ def load_cifar10(paths, split_tag="train"):
         all_labels.append(labels)
     if not all_images:
         raise InputDataError("load_cifar10() got no paths")
-    return Dataset(np.concatenate(all_images), np.concatenate(all_labels),
-                   10, split_tag)
+    return Dataset(np.concatenate(all_images), np.concatenate(all_labels), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def pad_dataset(dataset: Dataset, rows, cols):
     if dataset.images.shape[1:3] == (rows, cols):
         return dataset
     images = np.stack([pad_image(img, rows, cols) for img in dataset.images])
-    return Dataset(images, dataset.labels, dataset.classes, dataset.split_tag)
+    return Dataset(images, dataset.labels, dataset.classes)
 
 
 def split_train_val(dataset: Dataset, val_fraction=0.1, seed=0):
@@ -259,7 +256,7 @@ def split_train_val(dataset: Dataset, val_fraction=0.1, seed=0):
     val_count = int(round(val_fraction * count))
     val_idx = np.sort(perm[:val_count])
     train_idx = np.sort(perm[val_count:])
-    return dataset.subset(train_idx, "train"), dataset.subset(val_idx, "val")
+    return dataset.subset(train_idx), dataset.subset(val_idx)
 
 
 def batches(dataset: Dataset, batch_size, shuffle_seed=None, policy=None):

@@ -161,7 +161,6 @@ class ConvCaps:
         self.ksize = ksize
         self.padding = padding
         self.keep_prob = keep_prob
-        self.in_dim = in_dim
         self.in_channels = in_channels
         self.dim = dim
         self.channels = channels

@@ -1,41 +1,23 @@
-"""Minimal binary PGM (P5) / PPM (P6) writers for reconstruction grids."""
+"""Minimal binary PGM (P5) / PPM (P6) writer for reconstruction grids."""
 
 import numpy as np
 
 from .errors import InputDataError
 
 
-def _to_bytes(image01):
-    arr = np.asarray(image01, dtype=np.float64)
-    return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
-
-
-def write_pgm(path, image01):
-    """Write a (rows, cols) array of [0,1] values as binary PGM."""
-    arr = _to_bytes(image01)
-    if arr.ndim != 2:
-        raise InputDataError(f"PGM needs a rank-2 image, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
-
-
-def write_ppm(path, image01):
-    """Write a (rows, cols, 3) array of [0,1] values as binary PPM."""
-    arr = _to_bytes(image01)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise InputDataError(f"PPM needs a (rows, cols, 3) image, got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
-
-
-def write_image(path, image):
-    """Dispatch on channel count; squeezes a trailing singleton channel."""
-    arr = np.asarray(image)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
-    if arr.ndim == 2:
-        write_pgm(path, arr)
+def write_image(path, image01):
+    """Write an array of [0,1] values as binary PGM when it is (rows, cols)
+    or (rows, cols, 1), as binary PPM when it is (rows, cols, 3)."""
+    arr = np.rint(np.clip(np.asarray(image01, dtype=np.float64), 0.0, 1.0) * 255.0)
+    arr = arr.astype(np.uint8)
+    if arr.ndim == 3 and arr.shape[2] in (1, 3):
+        magic = "P5" if arr.shape[2] == 1 else "P6"
+    elif arr.ndim == 2:
+        magic = "P5"
     else:
-        write_ppm(path, arr)
+        raise InputDataError(
+            f"an image needs shape (rows, cols), (rows, cols, 1) or (rows, cols, 3), "
+            f"got {arr.shape}")
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+        fh.write(arr.tobytes())

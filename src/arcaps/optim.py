@@ -7,6 +7,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .tensor import Tensor, leaf
 
+# RMSprop: squared-gradient decay, base learning rate, its inverse-time
+# decay per step and the denominator's guard
+RHO = 0.9
+BASE_LR = 0.001
+LR_DECAY = 1e-4
+EPSILON = 1e-7
+
 
 class ParameterStore:
     """Ordered collection of named parameter tensors.
@@ -73,21 +80,17 @@ class RmspropState:
     """Per-parameter squared-gradient accumulators plus the decay schedule.
 
     The effective learning rate at step t (0-based count of completed
-    batches) is base_lr / (1 + decay * t).
+    batches) is BASE_LR / (1 + LR_DECAY * t).
     """
 
-    def __init__(self, store: ParameterStore, rho=0.9, base_lr=0.001, decay=1e-4, epsilon=1e-7):
-        self.rho = rho
-        self.base_lr = base_lr
-        self.decay = decay
-        self.epsilon = epsilon
+    def __init__(self, store: ParameterStore):
         self.step_count = 0
         self.acc = {
             name: np.zeros_like(t.data) for name, t in store.trainable_items()
         }
 
     def learning_rate(self):
-        return self.base_lr / (1.0 + self.decay * self.step_count)
+        return BASE_LR / (1.0 + LR_DECAY * self.step_count)
 
 
 def rmsprop_step(store: ParameterStore, state: RmspropState):
@@ -100,7 +103,7 @@ def rmsprop_step(store: ParameterStore, state: RmspropState):
     for name, t in store.trainable_items():
         g = t.grad
         acc = state.acc[name]
-        acc *= state.rho
-        acc += (1.0 - state.rho) * (g * g)
-        t.data = t.data - lr * g / (np.sqrt(acc) + state.epsilon)
+        acc *= RHO
+        acc += (1.0 - RHO) * (g * g)
+        t.data = t.data - lr * g / (np.sqrt(acc) + EPSILON)
     state.step_count += 1

@@ -180,8 +180,9 @@ def stem_oracle_gap(arrays, stats, train, x_grad=True):
 
 
 def _stem_oracle_check():
-    # 3 images of 5x5 whose 3x3 patches each take just under half the block
-    # budget: the convolution runs in two blocks, the last one ragged
+    # 3 images of 5x5 whose 3x3 patch and 4 product rows each take just
+    # under half the block budget: the convolution runs in two blocks, the
+    # last one ragged
     wide = T.BLOCK_BYTES // (2 * 25 * 9 * 8)
     worst = 0.0
     for train in (True, False):
@@ -238,7 +239,8 @@ def _no_grad_check():
 def _conv_oracle_check():
     rng = _rng(21)
     # the last case spans several blocks, the last one ragged: each image's
-    # 5x5 x 3x3 patches of float64 take just under half the block budget
+    # 5x5 rows of 3x3 patches and one product of float64 take just under
+    # half the block budget
     wide = T.BLOCK_BYTES // (2 * 25 * 9 * 8)
     worst = 0.0
     for k, stride, padding, shape, cout in (
@@ -319,18 +321,19 @@ ROUTE_GRAD_SUM_RTOL = 1e-12
 def _blocked_op_probes():
     """(name, op, argument names, float64 arguments, one image's output
     shape) of conv2d, channel_affine and transform_route over 3 images whose
-    block rows each take just under half the real block budget, so each op
-    runs in blocks of two images and one."""
+    block rows (operand plus product) each take just under half the real
+    block budget, so each op runs in blocks of two images and one."""
     rng = _rng(25)
     half = T.BLOCK_BYTES // (2 * 8)  # float64 values in half a budget
     # 4x4 capsules, 3x3 "same" at stride 2: 4 positions of patch and u rows
-    # of M=2 input channels, routed to N=2 channels of E=1
+    # (N*E = 2 values) of M=2 input channels, routed to N=2 channels of E=1
     d = (half // (4 * 2) - 2) // 9
     route = [rng.standard_normal((3, 4, 4, d, 2)),
              rng.standard_normal((2, 9 * d, 2)) / np.sqrt(9 * d),
              rng.standard_normal((2, 1, 2))]
-    # 8x8 images, 3x3 "same" at stride 1: 64 patch rows each
-    cin = half // (64 * 9)
+    # 8x8 images, 3x3 "same" at stride 1 to 2 channels: 64 patch and
+    # product rows each
+    cin = (half // 64 - 2) // 9
     conv = [rng.standard_normal((3, 8, 8, cin)),
             rng.standard_normal((3, 3, cin, 2)) / np.sqrt(9 * cin), rng.standard_normal(2)]
     # 8x8 images of M=2 channels to E=1: 64 operand and product rows each

@@ -19,9 +19,11 @@ Every convolution of the model runs through one blocked GEMM over sliding
 windows, ``_WindowGemm``: conv2d and conv_bn_relu (the stem and the
 primary capsules), transform_route (the convolutional transform under
 attention routing) and channel_affine (the capsule activation, a 1x1
-affine per capsule channel). It walks the batch in blocks of whole
-images, so no op builds a whole-batch patch matrix or padded copy, and
-under no_grad the ops reuse block-sized buffers in place of the
+affine per capsule channel). It alone knows the window geometry, checks
+the padding, adds the bias and makes its gradient, and sizes the blocks:
+it walks the batch in blocks of whole images whose operand and product
+rows fit one budget, so no op builds a whole-batch patch matrix or padded
+copy, and under no_grad the ops reuse block-sized buffers in place of the
 whole-batch arrays only a backward rule would read. Its backward walks
 the same blocks and extracts each block's operand again, so a graph keeps
 only what costs a GEMM to rebuild: transform_route's u and routing
@@ -45,8 +47,8 @@ from .errors import ComputationError, ConfigurationError
 
 MAX_RANK = 5
 
-# _WindowGemm walks the batch in blocks of whole images whose working arrays
-# fit in this many bytes (one image per block when a single image exceeds it)
+# _WindowGemm walks the batch in blocks of whole images whose operand and
+# product rows fit in this many bytes (one image per block when a single image exceeds it)
 BLOCK_BYTES = 2 << 20
 
 # depth of open no_grad blocks; graphs are built only at depth 0
@@ -361,8 +363,6 @@ def capsule_norm(x):
 # ---------------------------------------------------------------------------
 # convolution machinery
 
-_PADDINGS = ("same", "valid")
-
 
 def _conv_geometry(size, k, stride, padding):
     """Output extent plus (before, after) zero padding for one spatial axis."""
@@ -388,117 +388,91 @@ def _image_blocks(batch, bytes_per_image, weight_bytes=0):
     return [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
-class _Windows:
-    """The (kw, kh) windows at ``stride`` and ``padding`` over a
-    (B, W, H, D, M) input: output extents (wo, ho), the padded per-image
-    shape and the slice of a padded array that holds the input."""
+def _5d(a):
+    """A (B, W, H, Cin) array as (B, W, H, Cin, 1); a rank-5 one as it is."""
+    return a[..., None] if a.ndim == 4 else a
 
-    def __init__(self, shape, ksize, stride, padding):
-        w, h = shape[1:3]
-        self.ksize, self.stride = ksize, stride
-        self.wo, pw0, pw1 = _conv_geometry(w, ksize[0], stride, padding)
-        self.ho, ph0, ph1 = _conv_geometry(h, ksize[1], stride, padding)
-        self.padded = (w + pw0 + pw1, h + ph0 + ph1) + tuple(shape[3:])
-        self.pad = self.padded != tuple(shape[1:])
-        self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
-        self.grad_buf = None
 
-    def patches(self, x, blocks):
-        """Yield the channel-first (M, hi - lo, Wo, Ho, kw, kh, D) patch view
-        of each (lo, hi) block of images of a (B, W, H, D, M) x. A block is
-        zero-padded into one reused buffer, so no padded copy of the whole
-        input exists."""
-        xp = np.zeros((blocks[0][1],) + self.padded, dtype=x.dtype) if self.pad else None
-        for lo, hi in blocks:
-            src = x[lo:hi]
-            if self.pad:
-                xp[: hi - lo][self.inner] = src
-                src = xp[: hi - lo]
-            s, st = src.strides, self.stride
-            yield as_strided(src, shape=(src.shape[4], hi - lo, self.wo, self.ho, *self.ksize,
-                                         src.shape[3]),
-                             strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
-                             writeable=False)
-
-    def scatter_add(self, gx, lo, hi, gcols):
-        """Scatter-add the (hi - lo, Wo, Ho, kw, kh, D, M) patch gradients of
-        images lo..hi into gx[lo:hi]: straight into it when the windows have
-        no padding, else through one padded buffer that every block reuses
-        (the first block is the largest)."""
-        gxp, s = gx[lo:hi], self.stride
-        if self.pad:
-            if self.grad_buf is None:
-                self.grad_buf = np.empty((hi - lo,) + self.padded, dtype=gcols.dtype)
-            gxp = self.grad_buf[: hi - lo]
-            gxp.fill(0)
-        span_w, span_h = s * (self.wo - 1) + 1, s * (self.ho - 1) + 1
-        for i in range(self.ksize[0]):
-            for j in range(self.ksize[1]):
-                gxp[:, i:i + span_w:s, j:j + span_h:s] += gcols[:, :, :, i, j]
-        if self.pad:
-            gx[lo:hi] += gxp[self.inner]
+def _graph(*parents):
+    """Whether a node built now from ``parents`` gets a backward rule."""
+    return not _no_grad_depth and any(p.needs_grad for p in parents)
 
 
 class _WindowGemm:
     """The blocked GEMM over sliding windows behind conv2d, conv_bn_relu,
-    channel_affine and transform_route.
+    channel_affine and transform_route: the one place that knows the window
+    geometry, the padding, the bias and the block budget.
 
-    It walks the (kw, kh) windows at ``stride`` and ``padding`` of a
-    (B, W, H, D, M) input node in blocks of whole images. Each block's
-    patches are copied channel first into one reused (M, rows, K) operand
-    buffer, K = kw*kh*D, and multiplied by the (M, K, C) weight node, one
-    GEMM per input channel m. A (B, W, H, Cin) input reads as M = 1, with
-    its (kw, kh, Cin, Cout) kernel as (1, kw*kh*Cin, Cout). Product rows are
-    the flattened (B*Wo*Ho) positions, a block's rows contiguous, so neither
-    a padded copy of the whole input nor its whole patch matrix ever exists.
+    It walks the (kw, kh) windows at ``stride`` and ``padding`` ("same" or
+    "valid") of a (B, W, H, D, M) input node in blocks of whole images. Each
+    block is zero-padded into one reused buffer, and its patches are copied
+    channel first into one reused (M, rows, K) operand buffer, K = kw*kh*D,
+    and multiplied by the (M, K, C) weight node, one GEMM per input channel
+    m, plus the bias node (C values per input channel, or None). A
+    (B, W, H, Cin) input reads as M = 1, with its (kw, kh, Cin, Cout) kernel
+    as (1, kw*kh*Cin, Cout). Product rows are the flattened (B*Wo*Ho)
+    positions, a block's rows contiguous, so neither a padded copy of the
+    whole input nor its whole patch matrix ever exists.
 
     A block holds as many images as _image_blocks fits for their operand
-    rows, plus their product rows when ``count_product`` (for ops whose
-    epilogue holds block-sized arrays of that size). The backward holds no
-    operand: it extracts each block's again.
+    rows plus their product rows. The backward holds no operand: it
+    extracts each block's again. ``parents`` are (x, weight[, bias]).
     """
 
-    def __init__(self, x, weight, ksize, stride, padding, count_product=False):
-        self.x, self.weight = x, weight
-        xd = self._5d(x.data)
-        self.m = xd.shape[4]
-        self.win = _Windows(xd.shape, ksize, stride, padding)
-        self.wo, self.ho = self.win.wo, self.win.ho
+    def __init__(self, x, weight, bias, ksize, stride, padding):
+        if padding not in ("same", "valid"):
+            raise ConfigurationError(f"unknown padding {padding!r}")
+        self.x, self.weight, self.bias = x, weight, bias
+        self.parents = (x, weight) if bias is None else (x, weight, bias)
+        b, w, h, d, self.m = _5d(x.data).shape
+        self.ksize, self.stride = ksize, stride
+        self.wo, pw0, pw1 = _conv_geometry(w, ksize[0], stride, padding)
+        self.ho, ph0, ph1 = _conv_geometry(h, ksize[1], stride, padding)
+        self.padded = (w + pw0 + pw1, h + ph0 + ph1, d, self.m)
+        self.pad = self.padded[:2] != (w, h)
+        self.inner = (slice(None), slice(pw0, pw0 + w), slice(ph0, ph0 + h))
         self.rows = self.wo * self.ho
-        self.patch = (ksize[0], ksize[1], xd.shape[3])
-        self.k = ksize[0] * ksize[1] * xd.shape[3]
+        self.k = ksize[0] * ksize[1] * d
         self.w = weight.data.reshape(self.m, self.k, -1)
         self.c = self.w.shape[2]
         self.dtype = np.result_type(x.data, weight.data)
-        cols = self.k + self.c * count_product
-        self.blocks = _image_blocks(len(xd), self.rows * self.m * cols * xd.itemsize,
+        self.blocks = _image_blocks(b, self.rows * self.m * (self.k + self.c) * x.data.itemsize,
                                     weight.data.nbytes)
         self.step = self.blocks[0][1] * self.rows
-
-    @staticmethod
-    def _5d(a):
-        return a[..., None] if a.ndim == 4 else a
 
     def span(self, lo, hi):
         """The product rows of images lo..hi (of a block, from its first)."""
         return slice(lo * self.rows, hi * self.rows)
 
     def operands(self):
-        """Yield each block's (M, rows, K) operand, in one reused buffer."""
+        """Yield each block's (M, rows, K) operand, in one reused buffer,
+        copied from the (M, hi - lo, Wo, Ho, kw, kh, D) patch view of the
+        block (zero-padded first into another reused buffer)."""
         buf = np.empty((self.m, self.step, self.k), dtype=self.x.dtype)
-        xd = self._5d(self.x.data)
-        for (lo, hi), view in zip(self.blocks, self.win.patches(xd, self.blocks)):
+        xd = _5d(self.x.data)
+        xp = np.zeros((self.blocks[0][1],) + self.padded, dtype=xd.dtype) if self.pad else None
+        for lo, hi in self.blocks:
+            src = xd[lo:hi]
+            if self.pad:
+                xp[: hi - lo][self.inner] = src
+                src = xp[: hi - lo]
+            s, st = src.strides, self.stride
+            view = as_strided(src, shape=(self.m, hi - lo, self.wo, self.ho, *self.ksize,
+                                          src.shape[3]),
+                              strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
+                              writeable=False)
             op = buf[:, self.span(0, hi - lo)]
             np.copyto(op.reshape(view.shape), view)
             yield op
 
-    def forward(self, bias=None, each=None, whole=True):
-        """The product (+ bias), block by block: into its rows of a
+    def forward(self, each=None, whole=True):
+        """The product plus bias, block by block: into its rows of a
         whole-batch (M, B*rows, C) array, or (not ``whole``) into one reused
         (M, rows, C) block buffer. Returns that array; each(lo, hi, block)
         runs while the block is in cache."""
         out = np.empty((self.m, len(self.x.data) * self.rows if whole else self.step, self.c),
                        dtype=self.dtype)
+        bias = None if self.bias is None else self.bias.data.reshape(self.m, 1, self.c)
         for (lo, hi), op in zip(self.blocks, self.operands()):
             blk = out[:, self.span(lo, hi) if whole else self.span(0, hi - lo)]
             np.matmul(op, self.w, out=blk)
@@ -509,34 +483,50 @@ class _WindowGemm:
         return out
 
     def backward(self, grad):
-        """Accumulate the weight and input gradients, block by block, from
-        grad(lo, hi), the (M, rows, C) gradient of a block's product.
+        """Accumulate the weight, bias and input gradients, block by block,
+        from grad(lo, hi), the (M, rows, C) gradient of a block's product.
 
-        Each block's weight gradient, from its operand extracted again, goes
-        to the weight as it is made. The input gradient multiplies into a
-        reused buffer and scatters into the block's images of ``x.grad``
-        (_Windows.scatter_add), which is taken at the first scatter, so it is
-        not held beside the first weight gradient's temporaries.
+        Each block's weight gradient, from its operand extracted again, and
+        its bias gradient go to their nodes as they are made. The input
+        gradient multiplies into a reused buffer and is scatter-added into
+        the block's images of ``x.grad`` (which is taken at the first
+        scatter, so it is not held beside the first weight gradient's
+        temporaries): one strided add per tap, through one reused padded
+        buffer when the windows pad.
         """
-        x, weight = self.x, self.weight
+        x, weight, bias = self.x, self.weight, self.bias
         ops = self.operands() if weight.needs_grad else None
-        gbuf = None
+        gbuf = gxp = None
+        st, (kw, kh) = self.stride, self.ksize
+        span_w, span_h = st * (self.wo - 1) + 1, st * (self.ho - 1) + 1
         for lo, hi in self.blocks:
             g = grad(lo, hi)
             if weight.needs_grad:
                 weight.accumulate_grad((next(ops).transpose(0, 2, 1) @ g).reshape(weight.shape))
-            if x.needs_grad:
-                if gbuf is None:
-                    gbuf = np.empty((self.m, self.step, self.k), dtype=np.result_type(g, self.w))
-                gx = gbuf[:, self.span(0, hi - lo)]
-                np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
-                gcols = np.moveaxis(gx.reshape((self.m, hi - lo, self.wo, self.ho) + self.patch),
-                                    0, -1)
-                if self.patch[:2] != (1, 1):
-                    # the scatter runs faster from the patch layout than from
-                    # a view that reads m at a large stride
-                    gcols = np.ascontiguousarray(gcols)
-                self.win.scatter_add(self._5d(x.grad), lo, hi, gcols)
+            if bias is not None and bias.needs_grad:
+                bias.accumulate_grad(g.sum(axis=1).reshape(bias.shape))
+            if not x.needs_grad:
+                continue
+            if gbuf is None:
+                gbuf = np.empty((self.m, self.step, self.k), dtype=np.result_type(g, self.w))
+                if self.pad:
+                    gxp = np.empty((hi - lo,) + self.padded, dtype=gbuf.dtype)
+            gx = gbuf[:, self.span(0, hi - lo)]
+            np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
+            gcols = np.moveaxis(gx.reshape(self.m, hi - lo, self.wo, self.ho, kw, kh, -1), 0, -1)
+            if (kw, kh) != (1, 1):
+                # the scatter runs faster from the patch layout than from
+                # a view that reads m at a large stride
+                gcols = np.ascontiguousarray(gcols)
+            dst = _5d(x.grad)[lo:hi]
+            acc = gxp[: hi - lo] if self.pad else dst
+            if self.pad:
+                acc.fill(0)
+            for i in range(kw):
+                for j in range(kh):
+                    acc[:, i:i + span_w:st, j:j + span_h:st] += gcols[:, :, :, i, j]
+            if self.pad:
+                dst += acc[self.inner]
 
 
 def _check_conv(op, x, kernel, bias):
@@ -558,23 +548,18 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
     """Cross-correlation of (B, W, H, Cin) with a (kw, kh, Cin, Cout) kernel.
 
     A _WindowGemm with M = 1: each block's patches are multiplied straight
-    into its rows of the output, and the bias is added while the block is in
-    cache. The backward rule holds no patches.
+    into its rows of the output, plus the bias. The backward rule holds no
+    patches.
     """
-    if padding not in _PADDINGS:
-        raise ConfigurationError(f"unknown padding {padding!r}")
     _check_conv("conv2d", x, kernel, bias)
-    gemm = _WindowGemm(x, kernel, kernel.shape[:2], stride, padding)
-    out = gemm.forward(None if bias is None else bias.data)
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    gemm = _WindowGemm(x, kernel, bias, kernel.shape[:2], stride, padding)
+    out = gemm.forward()
 
     def rule(node):
         g = node.grad.reshape(1, -1, gemm.c)
-        if bias is not None and bias.needs_grad:
-            bias.accumulate_grad(g[0].sum(axis=0))
         gemm.backward(lambda lo, hi: g[:, gemm.span(lo, hi)])
 
-    return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), parents, rule)
+    return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), gemm.parents, rule)
 
 
 def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train, eps=1e-5):
@@ -603,13 +588,12 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             f"conv_bn_relu() parameter extents {gamma.shape}/{beta.shape} do not "
             f"match channel count {c}"
         )
-    gemm = _WindowGemm(x, kernel, kernel.shape[:2], 1, "same")
+    gemm = _WindowGemm(x, kernel, bias, kernel.shape[:2], 1, "same")
     b, span = x.shape[0], gemm.span
     n = b * gemm.rows
-    parents = (x, kernel, gamma, beta) + (() if bias is None else (bias,))
-    graph = not _no_grad_depth and any(p.needs_grad for p in parents)
+    parents = gemm.parents + (gamma, beta)
     # without a graph the output overwrites the conv output z
-    y = np.empty((n, c), dtype=gemm.dtype) if graph else None
+    y = np.empty((n, c), dtype=gemm.dtype) if _graph(*parents) else None
 
     def scale_shift_relu(lo, hi, blk):
         out = blk if y is None else y[span(lo, hi)]
@@ -617,7 +601,6 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
         out += t
         np.maximum(out, 0, out=out)
 
-    bias_data = None if bias is None else bias.data
     if train:
         seen, mu, m2 = 0, 0, 0
 
@@ -632,7 +615,7 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             m2 = m2 + np.einsum("ij,ij->j", d, d) + delta * delta * (seen * k / (seen + k))
             seen += k
 
-        z = gemm.forward(bias_data, fold)[0]
+        z = gemm.forward(fold)[0]
         var = m2 / n
         inv_std = 1.0 / np.sqrt(var + eps)
         s = gamma.data * inv_std
@@ -644,7 +627,7 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
         inv_std = 1.0 / np.sqrt(running_var + eps)
         s = gamma.data * inv_std
         t = beta.data - running_mean * s
-        z = gemm.forward(bias_data, lambda lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
+        z = gemm.forward(lambda lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
     if y is None:
         y = z
 
@@ -665,7 +648,6 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
             gamma.accumulate_grad(sum_gy_xhat)
         if beta.needs_grad:
             beta.accumulate_grad(sum_gy)
-        gbias = np.zeros(c, dtype=z.dtype)
 
         def conv_grad(lo, hi):
             gz, xhat = relu_grad(span(lo, hi))
@@ -674,12 +656,9 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
                 gz -= sum_gy / n
                 gz -= xhat * (sum_gy_xhat / n)
             gz *= s
-            gbias[...] += gz.sum(axis=0)
             return gz[None]
 
         gemm.backward(conv_grad)
-        if bias is not None and bias.needs_grad:
-            bias.accumulate_grad(gbias)
 
     out = Tensor(y.reshape(b, gemm.wo, gemm.ho, c), parents, rule)
     return (out, mu, var) if train else (out, None, None)
@@ -692,9 +671,9 @@ def channel_affine(x, weight, bias=None):
     out[..., e, m] = sum_k x[..., k, m] * weight[m, k, e] (+ bias[m, e])
 
     This is the per-channel 1x1 affine of the capsule activation (K = D):
-    the (1, 1) "valid" windows of a _WindowGemm. Each block's product goes
-    through a reused block buffer, is shifted by the bias and written into
-    its images of the output, so the output is the only whole-batch array.
+    the (1, 1) "valid" windows of a _WindowGemm. Each block's product plus
+    bias goes through a reused block buffer into its images of the output,
+    so the output is the only whole-batch array.
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
@@ -711,24 +690,19 @@ def channel_affine(x, weight, bias=None):
     if bias is not None and bias.shape != (m, e):
         raise ConfigurationError(f"channel_affine() bias shape {bias.shape} != ({m}, {e})")
 
-    gemm = _WindowGemm(x, weight, (1, 1), 1, "valid", count_product=True)
+    gemm = _WindowGemm(x, weight, bias, (1, 1), 1, "valid")
     out = np.empty((b, w, h, e, m), dtype=gemm.dtype)
 
     def write(lo, hi, blk):
         np.copyto(out[lo:hi], np.moveaxis(blk.reshape(m, hi - lo, w, h, e), 0, -1))
 
-    gemm.forward(None if bias is None else bias.data[:, None, :], write, whole=False)
+    gemm.forward(write, whole=False)
 
     def rule(node):
-        def grad(lo, hi):
-            gt = np.ascontiguousarray(np.moveaxis(node.grad[lo:hi], -1, 0)).reshape(m, -1, e)
-            if bias is not None and bias.needs_grad:
-                bias.accumulate_grad(gt.sum(axis=1))
-            return gt
+        gemm.backward(lambda lo, hi: np.ascontiguousarray(
+            np.moveaxis(node.grad[lo:hi], -1, 0)).reshape(m, -1, e))
 
-        gemm.backward(grad)
-
-    return Tensor(out, (x, weight) if bias is None else (x, weight, bias), rule)
+    return Tensor(out, gemm.parents, rule)
 
 
 def transform_route(caps, weight, reference, ksize, stride, padding):
@@ -763,8 +737,6 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
 
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
-    if padding not in _PADDINGS:
-        raise ConfigurationError(f"unknown padding {padding!r}")
     if caps.data.ndim != 5 or weight.data.ndim != 3 or reference.data.ndim != 3:
         raise ConfigurationError(
             f"transform_route() expects rank-5 input, rank-3 weight and rank-3 "
@@ -778,10 +750,10 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             f"transform_route() weight {weight.shape} and reference {reference.shape} do "
             f"not match {ksize} patches of {caps.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
-    gemm = _WindowGemm(caps, weight, ksize, stride, padding, count_product=True)
+    gemm = _WindowGemm(caps, weight, None, ksize, stride, padding)
     p = b * gemm.rows
-    parents = (caps, weight, reference)
-    graph = not _no_grad_depth and any(t.needs_grad for t in parents)
+    parents = gemm.parents + (reference,)
+    graph = _graph(*parents)
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
     routed = np.result_type(gemm.dtype, ref)
     a = np.empty((m, p, n), dtype=routed) if graph else None

@@ -143,7 +143,7 @@ def digits_train(digits_dir):
 @pytest.fixture(scope="session")
 def digits_test(digits_dir):
     return load_idx(digits_dir / "t10k-images-idx3-ubyte",
-                    digits_dir / "t10k-labels-idx1-ubyte", "test")
+                    digits_dir / "t10k-labels-idx1-ubyte")
 
 
 @pytest.fixture(scope="session")

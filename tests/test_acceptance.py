@@ -221,7 +221,7 @@ def test_criterion_6_desk_scale_training_real_mnist(tmp_path):
                     root / "train-labels-idx1-ubyte")
     subset = full.subset(np.arange(10000))
     test = load_idx(root / "t10k-images-idx3-ubyte",
-                    root / "t10k-labels-idx1-ubyte", "test")
+                    root / "t10k-labels-idx1-ubyte")
     cfg = RunConfig(data_dir=str(root), out_dir=str(tmp_path / "mnist_run"),
                     **{**DESK_KW, "epochs": 10})
     start = time.perf_counter()
@@ -287,7 +287,7 @@ def test_criterion_9_determinism(tmp_path):
     train_set = load_idx(data_dir / "train-images-idx3-ubyte",
                          data_dir / "train-labels-idx1-ubyte")
     test_set = load_idx(data_dir / "t10k-images-idx3-ubyte",
-                        data_dir / "t10k-labels-idx1-ubyte", "test")
+                        data_dir / "t10k-labels-idx1-ubyte")
     cfg = RunConfig(input_width=28, input_height=28, input_channels=1,
                     stem_width=4, primary_dim=3, primary_channels=2,
                     conv_caps=1, caps_dim=4, caps_channels=3,

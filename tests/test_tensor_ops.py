@@ -75,6 +75,12 @@ class TestConv2d:
         assert T.conv2d(x, k, None, 1, "same").shape == (1, 28, 28, 4)
         assert T.conv2d(x, k, None, 1, "valid").shape == (1, 26, 26, 4)
 
+    def test_unknown_padding_rejected(self):
+        x = T.leaf(np.zeros((1, 4, 4, 2)))
+        k = T.leaf(np.zeros((3, 3, 2, 4)))
+        with pytest.raises(ConfigurationError, match="unknown padding 'full'"):
+            T.conv2d(x, k, None, 1, "full")
+
     def test_channel_mismatch_names_both_shapes(self):
         x = T.leaf(np.zeros((1, 4, 4, 3), dtype=np.float32))
         k = T.leaf(np.zeros((3, 3, 2, 4), dtype=np.float32))
@@ -324,6 +330,27 @@ class TestBlockedOps:
         finally:
             tracemalloc.stop()
         assert kept < out.data.nbytes + T.BLOCK_BYTES, (kept, out.data.nbytes, x.data.nbytes)
+
+    def test_stem0_blocks_count_operand_and_product_rows(self, monkeypatch):
+        # stem0's shape, 100 28x28x1 images through a 3x3 conv to 64
+        # channels in float32: a block holds as many images as fit their
+        # 784 rows of 9 operand and 64 product values
+        walked = []
+        image_blocks = T._image_blocks
+
+        def recording(batch, bytes_per_image, weight_bytes=0):
+            walked.append(image_blocks(batch, bytes_per_image, weight_bytes))
+            return walked[-1]
+
+        monkeypatch.setattr(T, "_image_blocks", recording)
+        x = T.leaf(np.zeros((100, 28, 28, 1), dtype=np.float32))
+        kernel = T.leaf(np.zeros((3, 3, 1, 64), dtype=np.float32))
+        bias, gamma, beta = (T.leaf(np.full(64, v, dtype=np.float32)) for v in (0, 1, 0))
+        T.conv2d(x, kernel, bias, 1, "same")
+        T.conv_bn_relu(x, kernel, bias, gamma, beta, None, None, True)
+        step = T.BLOCK_BYTES // (784 * (9 + 64) * 4)
+        assert step == 9
+        assert walked == 2 * [[(lo, min(lo + step, 100)) for lo in range(0, 100, step)]]
 
     @pytest.mark.parametrize("batch,per_image,weight_bytes,step", [
         (10, T.BLOCK_BYTES // 4, 0, 4), (10, T.BLOCK_BYTES // 4, T.BLOCK_BYTES // 2, 4),
