@@ -51,7 +51,7 @@ def _write_record(fh, name, array):
     fh.write(struct.pack("<Q", data.ndim))
     for extent in data.shape:
         fh.write(struct.pack("<Q", extent))
-    fh.write(data.tobytes())
+    fh.write(memoryview(data).cast("B"))  # the array's own buffer: no copy of the record
 
 
 def _check_size(fh, count, path, what):

@@ -156,24 +156,49 @@ class ArCapsNet:
     # -- forward -----------------------------------------------------------
 
     def capsule_forward(self, images, train=False, rng=None):
-        """Images (B, W, H, C) through to output capsules (B, D, N)."""
+        """Images (B, W, H, C) through to output capsules (B, D, N).
+
+        In infer mode without a graph each image's primary capsules depend
+        on that image alone (batchnorm reads its running statistics), so
+        the stem and the primary layer run over blocks of images, as many
+        as ``T._image_blocks`` fits their stem outputs in, and write into
+        one whole-batch primary capsule array: the whole batch's stem maps
+        never exist. Train mode (batch statistics) and a forward that
+        builds a graph run them once over the whole batch. The capsule
+        layers take the whole batch either way, and the values are the
+        same bits.
+        """
         if images.ndim == 3:
             images = images[..., None]
-        expect = (self.config.input_width, self.config.input_height,
-                  self.config.input_channels)
+        cfg = self.config
+        expect = (cfg.input_width, cfg.input_height, cfg.input_channels)
         if images.shape[1:] != expect:
             raise ConfigurationError(
                 f"input images {images.shape[1:]} do not match configured {expect}")
-        x = T.leaf(images.astype(self.dtype, copy=False))
-        for block in self.stem:
-            x = block.forward(x, train)
-        caps = self.primary.forward(x, train)
-        del x  # frees the stem output under no_grad; a graph holds it anyway
+        images = images.astype(self.dtype, copy=False)
+        if train or T._building_graph():
+            caps = self._primary_capsules(images, train)
+        else:
+            b = images.shape[0]
+            w, h = cfg.spatial_chain()[0]
+            out = np.empty((b, w, h, cfg.primary_dim, cfg.primary_channels), dtype=self.dtype)
+            stem_bytes = cfg.input_width * cfg.input_height * cfg.stem_width * images.itemsize
+            for lo, hi in T._image_blocks(b, stem_bytes):
+                out[lo:hi] = self._primary_capsules(images[lo:hi], train).data
+            caps = T.leaf(out)
         for layer in self.caps_layers:
             caps = layer.forward(caps, train, rng)
         caps = self.fully.forward(caps, train, rng)
         b = caps.shape[0]
         return T.reshape(caps, (b, self.config.out_dim, self.config.classes))
+
+    def _primary_capsules(self, images, train):
+        """Stem and primary layer: a (B, W, H, C) array of images to the
+        (B, W', H', D, N) primary capsule node."""
+        x = T.leaf(images)
+        for block in self.stem:
+            x = block.forward(x, train)
+        return self.primary.forward(x, train)
 
     def forward(self, images, labels=None, train=False, rng=None):
         """Full pass: scores, output capsules, reconstruction.

@@ -76,6 +76,12 @@ class no_grad:
         return False
 
 
+def _building_graph():
+    """Whether ops build a graph now: no no_grad block is open. Private:
+    the module's public functions are the ops and the graph walk."""
+    return not _no_grad_depth
+
+
 class Tensor:
     """A value in the autodiff graph."""
 
@@ -395,7 +401,7 @@ def _5d(a):
 
 def _graph(*parents):
     """Whether a node built now from ``parents`` gets a backward rule."""
-    return not _no_grad_depth and any(p.needs_grad for p in parents)
+    return _building_graph() and any(p.needs_grad for p in parents)
 
 
 class _WindowGemm:

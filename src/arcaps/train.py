@@ -121,7 +121,8 @@ def evaluate(model: ArCapsNet, dataset: Dataset, batch_size=100) -> EvalResult:
     """Deterministic inference-mode evaluation with a confusion matrix.
 
     Builds no graph (``tensor.no_grad``), so each batch holds only the
-    arrays its forward is using.
+    arrays its forward is using, and the model runs its stem and primary
+    layer over blocks of images (``ArCapsNet.capsule_forward``).
     """
     if len(dataset) == 0:
         raise InputDataError("cannot evaluate on an empty dataset")

@@ -1,5 +1,6 @@
 """Model assembly, losses, parameter counting, checkpoint round-trips."""
 
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from arcaps.model import (ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters
                           standard_stack)
 from arcaps.train import load_model, save_model
 from arcaps.config import RunConfig
-from conftest import corrupt_headers
+from conftest import blocks_of_two, corrupt_headers
 
 
 MNIST_CONFIG = ModelConfig()
@@ -344,6 +345,20 @@ class TestCheckpoint:
                                        "b": np.zeros(3, dtype=np.float64)})
         assert not list(tmp_path.iterdir())
 
+    def test_save_writes_records_without_a_copy(self, tmp_path, rng):
+        # the size of the default fullycaps.transform record (15.3 MB)
+        record = rng.random((8, 1568, 320), dtype=np.float32)
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            checkpoint.save(path, "", {"fullycaps.transform": record})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (peak, record.nbytes)
+        _, arrays = checkpoint.load(path)
+        assert np.array_equal(arrays["fullycaps.transform"], record)
+
     def test_float64_model_not_saved(self, tmp_path, tiny_config, tiny_run_config):
         net = ArCapsNet(tiny_config, seed=0, dtype=np.float64)
         with pytest.raises(ConfigurationError, match="float32 only"):
@@ -407,7 +422,9 @@ def test_float32_forward_without_graph_is_float32(rng, tiny_config, node_log):
     assert all(n.parents == () and n.backward_rule is None for n in node_log)
 
 
-def test_no_grad_forward_frees_the_stem_output_before_fullycaps(rng, tiny_config):
+def test_no_grad_forward_frees_the_stem_output_before_fullycaps(rng, tiny_config,
+                                                               monkeypatch):
+    blocks_of_two(monkeypatch)
     net = ArCapsNet(tiny_config, seed=0)
     stem_out, alive = [], []
     stem_forward, fully_forward = net.stem[-1].forward, net.fully.forward
@@ -418,13 +435,69 @@ def test_no_grad_forward_frees_the_stem_output_before_fullycaps(rng, tiny_config
         return out
 
     def check_then_route(caps, train, rng=None):
-        alive.append(stem_out[0]() is not None)
+        alive.append([ref() is not None for ref in stem_out])
         return fully_forward(caps, train, rng)
 
     net.stem[-1].forward, net.fully.forward = record_stem, check_then_route
     with T.no_grad():
         net.forward(rng.random((3, 8, 8, 1), dtype=np.float32))
-    assert alive == [False]
+    # one stem output per block of images, (0, 2) and (2, 3)
+    assert alive == [[False, False]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_forward_walks_blocks_equal_to_the_graph_forward(rng, tiny_config,
+                                                                monkeypatch, dtype):
+    walked = blocks_of_two(monkeypatch)
+    net = ArCapsNet(tiny_config, seed=0, dtype=dtype)
+    images = rng.random((5, 8, 8, 1)).astype(dtype)
+    graph = net.forward(images)
+    walked.clear()
+    with T.no_grad():
+        walk = net.forward(images)
+    # the model's walk, then each block through its four stem and primary
+    # ops (two conv_bn_relu, conv2d, channel_affine), then convcaps0 on the
+    # whole batch
+    whole = [(0, 2), (2, 4), (4, 5)]
+    assert walked[:14] == [whole] + [[(0, 2)]] * 8 + [[(0, 1)]] * 4 + [whole]
+    for name in ("scores", "capsules", "reconstruction"):
+        got, want = getattr(walk, name).data, getattr(graph, name).data
+        assert got.dtype == dtype and np.array_equal(got, want), name
+
+
+def test_train_forward_without_graph_stays_whole_batch(rng, tiny_config, monkeypatch):
+    # blocks of two images: a walk over them would normalize each block by
+    # its own statistics and fold three updates into the running statistics
+    blocks_of_two(monkeypatch)
+    images = rng.random((5, 8, 8, 1), dtype=np.float32)
+    labels = np.array([0, 1, 2, 0, 1])
+    graph_net, walk_net = ArCapsNet(tiny_config, seed=0), ArCapsNet(tiny_config, seed=0)
+    graph = graph_net.forward(images, labels, train=True, rng=np.random.default_rng(1))
+    with T.no_grad():
+        walk = walk_net.forward(images, labels, train=True, rng=np.random.default_rng(1))
+    for name in ("scores", "capsules", "reconstruction"):
+        assert np.array_equal(getattr(walk, name).data, getattr(graph, name).data), name
+    for want, got in zip(graph_net.stem, walk_net.stem):
+        assert not np.array_equal(got.running_mean.data, 0)
+        assert np.array_equal(got.running_mean.data, want.running_mean.data)
+        assert np.array_equal(got.running_var.data, want.running_var.data)
+
+
+def test_default_no_grad_forward_peak_memory(rng):
+    # the whole batch's stem maps (19.1 MB for each 64-channel stem output
+    # at B=100) never exist: the stem and primary layer run in blocks of
+    # images, and the peak sits in convcaps0
+    net = ArCapsNet(ModelConfig(), seed=0)
+    images = rng.random((100, 28, 28, 1), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            result = net.forward(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.capsules.shape == (100, 32, 10)
+    assert peak < 32e6, peak / 1e6
 
 
 def test_total_loss_nonnegative(rng, tiny_config):
