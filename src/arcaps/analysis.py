@@ -165,7 +165,6 @@ class ImageAlignment:
     digit: int
     family: str
     ratios: np.ndarray
-    excluded: list
     align: np.ndarray
 
 
@@ -235,10 +234,9 @@ def alignment_experiment(model: ArCapsNet, dataset, sample_count=10000,
                 v, _ = align_vector(diffs)
             except InputDataError:
                 continue  # all-zero differences carry no direction
-            ratios, excluded = relative_ratios(diffs, v)
+            ratios, _ = relative_ratios(diffs, v)
             report.records.append(ImageAlignment(
-                index=int(idx), digit=digit, family=family,
-                ratios=ratios, excluded=excluded, align=v))
+                index=int(idx), digit=digit, family=family, ratios=ratios, align=v))
     return report
 
 

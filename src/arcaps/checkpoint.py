@@ -1,7 +1,7 @@
 """Binary checkpoint container.
 
 Layout:
-  8 bytes   magic "ARCAPS03"
+  8 bytes   magic "ARCAPS04"
   8 bytes   metadata length, unsigned little-endian
   N bytes   metadata, UTF-8 text (config lines, then state.* lines)
   records until end of file, each:
@@ -16,8 +16,10 @@ and arrays of any other dtype are rejected rather than converted. Each
 capsule layer stores its transform as one ``<layer>.transform`` record of
 shape (M, kw*kh*D_in, N*D_out). ``train.save_model`` writes one record
 per ParameterStore entry (parameters and batchnorm running statistics)
-and nothing else. Files of earlier formats are rejected with the reason
-(see ``_OLD_MAGICS``); there is no conversion path.
+and nothing else; a stem block stores no conv bias. A record name that
+repeats an earlier one is rejected. Files of earlier formats are rejected
+with the reason (see ``_OLD_MAGICS``; "ARCAPS03" files hold the stem conv
+biases); there is no conversion path.
 
 ``save`` writes ``<path>.tmp`` next to the target and renames it over the
 target only once it is complete and synced, so a crash mid-write leaves
@@ -35,11 +37,12 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 
-MAGIC = b"ARCAPS03"
+MAGIC = b"ARCAPS04"
 _OLD_MAGICS = {
     b"ARCAPS01": "stores one transform record per output channel",
     b"ARCAPS02": ("may hold optimizer state and has a config key this "
                   "version no longer accepts"),
+    b"ARCAPS03": "stores stem conv biases that batchnorm cancels",
 }
 
 
@@ -113,7 +116,9 @@ def save(path, metadata_text, arrays):
 
 
 def load(path):
-    """Read a checkpoint; returns (metadata_text, name -> float32 array)."""
+    """Read a checkpoint; returns (metadata_text, name -> float32 array).
+    Truncation, an earlier format and a repeated record name are
+    InputDataError."""
     arrays = {}
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -135,6 +140,9 @@ def load(path):
                     f"{path}: truncated record header at offset {fh.tell() - len(head)}")
             (name_len,) = struct.unpack("<Q", head)
             name = _read_exact(fh, name_len, path, "record name").decode("utf-8")
+            if name in arrays:
+                raise InputDataError(f"{path}: duplicate record {name!r} at offset "
+                                     f"{fh.tell() - 8 - name_len}")
             (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"rank of {name!r}"))
             _check_size(fh, 8 * rank, path, f"extents of {name!r}")
             shape = tuple(

@@ -56,14 +56,14 @@ def _weight(rng, shape, fan_in, fan_out, dtype):
 
 class ConvBlock:
     """3x3 stride-1 same-padding convolution + batchnorm + relu (stem unit),
-    one :func:`~arcaps.tensor.conv_bn_relu` op."""
+    one :func:`~arcaps.tensor.conv_bn_relu` op. The convolution has no bias:
+    the batchnorm cancels it, and ``bn.beta`` is the shift."""
 
     def __init__(self, store, name, cin, cout, rng, dtype=np.float32):
         self.kernel = store.add(
             name + ".kernel",
             _weight(rng, (3, 3, cin, cout), 9 * cin, 9 * cout, dtype),
         )
-        self.bias = store.add(name + ".bias", np.zeros(cout, dtype=dtype))
         self.gamma = store.add(name + ".bn.gamma", np.ones(cout, dtype=dtype))
         self.beta = store.add(name + ".bn.beta", np.zeros(cout, dtype=dtype))
         self.running_mean = store.add(
@@ -75,17 +75,13 @@ class ConvBlock:
 
     def forward(self, x, train):
         y, mu, var = T.conv_bn_relu(
-            x, self.kernel, self.bias, self.gamma, self.beta,
+            x, self.kernel, self.gamma, self.beta,
             self.running_mean.data, self.running_var.data, train,
         )
         if train:
             m = BN_MOMENTUM
-            self.running_mean.data = (m * self.running_mean.data + (1 - m) * mu).astype(
-                self.running_mean.dtype
-            )
-            self.running_var.data = (m * self.running_var.data + (1 - m) * var).astype(
-                self.running_var.dtype
-            )
+            for stat, batch in ((self.running_mean, mu), (self.running_var, var)):
+                stat.data = (m * stat.data + (1 - m) * batch).astype(stat.dtype)
         return y
 
 

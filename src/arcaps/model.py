@@ -296,7 +296,7 @@ def count_parameters(config: ModelConfig):
     cin = config.input_channels
     for i in range(2):
         w = config.stem_width
-        rows.append((f"stem{i}", 9 * cin * w + w + 2 * w))
+        rows.append((f"stem{i}", 9 * cin * w + 2 * w))
         cin = w
 
     d0, n0 = config.primary_dim, config.primary_channels

@@ -127,7 +127,8 @@ def _marker(shape):
 
 def stem_probe(rng, shape, cout, train, eps=1e-5):
     """Float64 inputs of one conv_bn_relu call over a (B, W, H, Cin) input:
-    [x, kernel, bias, gamma, beta] and (running_mean, running_var).
+    [x, kernel, gamma, beta] and (running_mean, running_var). There is no
+    conv bias to draw: the op takes none.
 
     beta puts each channel's relu threshold mid-way across the widest gap
     between the middle half of its normalized conv outputs, so the relu is
@@ -137,31 +138,31 @@ def stem_probe(rng, shape, cout, train, eps=1e-5):
     cin = shape[3]
     x = rng.standard_normal(shape)
     kernel = rng.standard_normal((3, 3, cin, cout)) / (3 * np.sqrt(cin))
-    bias = 0.1 * rng.standard_normal(cout)
     gamma = 1 + 0.2 * rng.standard_normal(cout)
     stats = (0.1 * rng.standard_normal(cout), 1 + 0.1 * rng.random(cout))
-    z = T.conv2d(T.leaf(x), T.leaf(kernel), T.leaf(bias)).data.reshape(-1, cout)
+    z = T.conv2d(T.leaf(x), T.leaf(kernel)).data.reshape(-1, cout)
     mean, var = (z.mean(axis=0), z.var(axis=0)) if train else stats
     xhat = np.sort((z - mean) / np.sqrt(var + eps), axis=0)
     mid = xhat[len(xhat) // 4: len(xhat) - len(xhat) // 4]
     gap = np.argmax(np.diff(mid, axis=0), axis=0)
     cols = np.arange(cout)
     beta = -gamma * (mid[gap, cols] + mid[gap + 1, cols]) / 2
-    return [x, kernel, bias, gamma, beta], stats
+    return [x, kernel, gamma, beta], stats
 
 
-def stem_composition(x, kernel, bias, gamma, beta, running_mean, running_var, train):
-    """conv2d -> batchnorm -> relu: the reference composition of conv_bn_relu,
-    with the same (out, batch_mean, batch_var) result."""
-    bn, mean, var = T.batchnorm(T.conv2d(x, kernel, bias, 1, "same"), gamma, beta,
+def stem_composition(x, kernel, gamma, beta, running_mean, running_var, train):
+    """conv2d (no bias) -> batchnorm -> relu: the reference composition of
+    conv_bn_relu, with the same (out, batch_mean, batch_var) result."""
+    bn, mean, var = T.batchnorm(T.conv2d(x, kernel, None, 1, "same"), gamma, beta,
                                 running_mean, running_var, train)
     return T.relu(bn), mean, var
 
 
 def stem_oracle_gap(arrays, stats, train, x_grad=True):
-    """Worst difference of conv_bn_relu from its reference composition over
-    the output, the batch statistics and the gradients of x (when x_grad),
-    kernel, bias, gamma and beta, each relative to max(1, max |reference|)."""
+    """Worst difference of conv_bn_relu from its reference composition
+    (stem_composition: conv2d with no bias, batchnorm, relu) over the
+    output, the batch statistics and the gradients of x (when x_grad),
+    kernel, gamma and beta, each relative to max(1, max |reference|)."""
     marker = _marker(arrays[0].shape[:3] + (arrays[1].shape[3],))
     results = []
     for op in (T.conv_bn_relu, stem_composition):

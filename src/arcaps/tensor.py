@@ -568,11 +568,12 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
     return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), gemm.parents, rule)
 
 
-def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train, eps=1e-5):
-    """relu(batchnorm(conv2d(x, kernel, bias, 1, "same"))) as one op, with
+def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1e-5):
+    """relu(batchnorm(conv2d(x, kernel, None, 1, "same"))) as one op, with
     the semantics of that reference composition.
 
-    The convolution runs block by block as in conv2d (a _WindowGemm).
+    The convolution has no bias: the batchnorm would subtract it again, and
+    beta is the shift. It runs block by block as in conv2d (a _WindowGemm).
     Train mode folds each block's mean and centred sum of squares into the
     batch statistics while the block is in cache (Chan's parallel update),
     then writes out = max(z * s + t, 0) with s = gamma / sqrt(var + eps) and
@@ -587,14 +588,14 @@ def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, train,
     statistics are None in infer mode, and the caller updates the running
     statistics.
     """
-    _check_conv("conv_bn_relu", x, kernel, bias)
+    _check_conv("conv_bn_relu", x, kernel, None)
     c = kernel.shape[3]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigurationError(
             f"conv_bn_relu() parameter extents {gamma.shape}/{beta.shape} do not "
             f"match channel count {c}"
         )
-    gemm = _WindowGemm(x, kernel, bias, kernel.shape[:2], 1, "same")
+    gemm = _WindowGemm(x, kernel, None, kernel.shape[:2], 1, "same")
     b, span = x.shape[0], gemm.span
     n = b * gemm.rows
     parents = gemm.parents + (gamma, beta)

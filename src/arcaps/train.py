@@ -77,7 +77,9 @@ def load_model(path):
     """Rebuild a model from a checkpoint.
 
     Returns (model, run_config, state_lines) where state_lines maps the
-    ``state.*`` metadata keys to their raw string values.
+    ``state.*`` metadata keys to their raw string values. Records that do
+    not fit the file's own model config are an InputDataError naming the
+    file.
     """
     meta, arrays = ckpt.load(path)
     cfg_lines, state_lines = [], {}
@@ -90,7 +92,10 @@ def load_model(path):
             cfg_lines.append(line)
     run_config = cfgmod.parse_lines(cfg_lines, source=str(path))
     model = ArCapsNet(run_config.model_config(), init=False)
-    model.store.load_state(arrays)
+    try:
+        model.store.load_state(arrays)
+    except ConfigurationError as exc:
+        raise InputDataError(f"{path}: records do not fit the file's config: {exc}") from exc
     return model, run_config, state_lines
 
 

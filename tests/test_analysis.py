@@ -216,8 +216,7 @@ class TestCosineHistogram:
 
     def _record(self, idx, family, align):
         return ImageAlignment(index=idx, digit=0, family=family,
-                              ratios=np.ones(5), excluded=[],
-                              align=np.asarray(align, dtype=float))
+                              ratios=np.ones(5), align=np.asarray(align, dtype=float))
 
     def test_identical_aligns_give_cosine_one(self):
         v = np.array([1.0, 0.0, 0.0])

@@ -7,7 +7,7 @@ import pytest
 
 import arcaps.analysis
 import arcaps.cli
-from arcaps import config as cfgmod
+from arcaps import checkpoint, config as cfgmod
 from arcaps.cli import main
 from arcaps.errors import ConfigurationError
 from arcaps.model import ArCapsNet, standard_stack
@@ -97,6 +97,15 @@ class TestConfigParsing:
         assert abs(total - 9.6e6) / 9.6e6 < 0.05
 
 
+def _earlier_format(path):
+    path.write_bytes(b"ARCAPS03" + path.read_bytes()[8:])
+
+
+def _wider_stem_in_config(path):
+    meta, arrays = checkpoint.load(path)
+    checkpoint.save(path, meta.replace("model.stem_width = 3", "model.stem_width = 4"), arrays)
+
+
 class TestCli:
     def test_count_params_default_config(self, capsys):
         assert main(["count-params"]) == 0
@@ -127,6 +136,20 @@ class TestCli:
         ckpt.write_bytes(corrupt_headers(ckpt.read_bytes())[0])
         assert main(["eval", "--checkpoint", str(ckpt)]) == 2
         assert "truncated checkpoint: metadata declares" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt,reason", [
+        (_earlier_format, "b'ARCAPS03' checkpoint stores stem conv biases that batchnorm "
+                          "cancels; this version reads only b'ARCAPS04'"),
+        (_wider_stem_in_config, "records do not fit the file's config: parameter "
+                                "'stem0.kernel' shape (3, 3, 1, 3) != expected (3, 3, 1, 4)"),
+    ], ids=["earlier-format", "records-not-fitting-config"])
+    def test_rejected_checkpoint_maps_to_exit_2_naming_the_file(
+            self, tmp_path, capsys, tiny_config, tiny_run_config, corrupt, reason):
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, ArCapsNet(tiny_config, seed=0), tiny_run_config)
+        corrupt(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+        assert f"data error: {ckpt}: {reason}" in capsys.readouterr().err
 
     def test_train_epochs_zero_writes_checkpoint(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -243,6 +243,21 @@ def test_end_to_end_tiny_model():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_every_trainable_parameter_reaches_the_loss(seed):
+    # a parameter the loss cannot reach (a conv bias that a batchnorm
+    # cancels) has a gradient of rounding noise, on which RMSprop still steps
+    from arcaps.model import ArCapsNet
+
+    tiny, images = selftest._tiny_model()
+    net = ArCapsNet(tiny.config, seed=seed, dtype=np.float64)
+    total, *_ = net.loss(images, np.array([0, 1]), train=True, rng=np.random.default_rng(seed))
+    T.backward(total)
+    reach = {name: np.max(np.abs(t.grad)) for name, t in net.store.trainable_items()}
+    largest = max(reach.values())
+    assert not {name: v / largest for name, v in reach.items() if v <= 1e-10 * largest}
+
+
 def test_gradients_bitwise_reproducible(rng):
     from arcaps.model import ArCapsNet, ConvCapsSpec, ModelConfig
 

@@ -75,7 +75,7 @@ class TestConvBlock:
     def test_train_forward_updates_running_statistics(self, rng):
         block = ConvBlock(ParameterStore(), "stem", 2, 3, rng)
         x = T.leaf(rng.standard_normal((4, 5, 5, 2)).astype(np.float32) + 1)
-        _, mean, var = T.conv_bn_relu(x, block.kernel, block.bias, block.gamma, block.beta,
+        _, mean, var = T.conv_bn_relu(x, block.kernel, block.gamma, block.beta,
                                       None, None, True)
         block.forward(x, train=True)
         assert block.running_mean.dtype == np.float32

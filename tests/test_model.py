@@ -1,5 +1,6 @@
 """Model assembly, losses, parameter counting, checkpoint round-trips."""
 
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -310,10 +311,23 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(path, net, tiny_run_config)
         raw = path.read_bytes()
-        for old in ("ARCAPS01", "ARCAPS02"):
-            path.write_bytes(old.encode() + raw[8:])
-            with pytest.raises(InputDataError, match=f"{old}.*ARCAPS03"):
+        for old, reason in checkpoint._OLD_MAGICS.items():
+            path.write_bytes(old + raw[len(old):])
+            expected = f"{old!r} checkpoint {reason}; this version reads only {checkpoint.MAGIC!r}"
+            with pytest.raises(InputDataError, match=re.escape(expected)):
                 load_model(path)
+
+    def test_duplicate_record_rejected(self, tmp_path, tiny_config, tiny_run_config):
+        # a later record of the same name would silently replace the first
+        net = ArCapsNet(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, tiny_run_config)
+        raw = path.read_bytes()
+        with open(path, "ab") as fh:
+            checkpoint._write_record(fh, "stem0.kernel", np.zeros((3, 3, 1, 3), np.float32))
+        with pytest.raises(InputDataError,
+                           match=f"duplicate record 'stem0.kernel' at offset {len(raw)}"):
+            load_model(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, tiny_config,
                                               tiny_run_config, monkeypatch):

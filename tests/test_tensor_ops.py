@@ -347,7 +347,7 @@ class TestBlockedOps:
         kernel = T.leaf(np.zeros((3, 3, 1, 64), dtype=np.float32))
         bias, gamma, beta = (T.leaf(np.full(64, v, dtype=np.float32)) for v in (0, 1, 0))
         T.conv2d(x, kernel, bias, 1, "same")
-        T.conv_bn_relu(x, kernel, bias, gamma, beta, None, None, True)
+        T.conv_bn_relu(x, kernel, gamma, beta, None, None, True)
         step = T.BLOCK_BYTES // (784 * (9 + 64) * 4)
         assert step == 9
         assert walked == 2 * [[(lo, min(lo + step, 100)) for lo in range(0, 100, step)]]
@@ -457,8 +457,8 @@ class TestConvBnRelu:
         f"{'train' if train else 'infer'}-{blocks}block{'s' if blocks > 1 else ''}"
         f"{'' if x_grad else '-no-x-grad'}" for train, blocks, x_grad in STEM_ORACLE_CASES])
     def test_matches_composition(self, monkeypatch, train, blocks, x_grad):
-        # output, batch statistics and the gradients of x, kernel, bias,
-        # gamma and beta against conv2d -> batchnorm -> relu, in float64
+        # output, batch statistics and the gradients of x, kernel, gamma
+        # and beta against conv2d -> batchnorm -> relu, in float64
         arrays, stats = stem_probe(np.random.default_rng(40), (5, 6, 5, 3), 4, train)
         if blocks > 1:  # five images in blocks of two, the last one ragged
             blocks_of_two(monkeypatch)
@@ -487,7 +487,7 @@ class TestConvBnRelu:
         kernel[1, 1] = 1.0
         blocks_of_two(monkeypatch)
         ones = T.leaf(np.ones(1))
-        _, mean, var = T.conv_bn_relu(T.leaf(x), T.leaf(kernel), None, ones,
+        _, mean, var = T.conv_bn_relu(T.leaf(x), T.leaf(kernel), ones,
                                       T.leaf(np.zeros(1)), None, None, True)
         assert np.allclose(mean, x.mean(), rtol=1e-12, atol=0)
         assert np.allclose(var, x.var(), rtol=1e-6, atol=0)
@@ -496,10 +496,10 @@ class TestConvBnRelu:
         x = T.leaf(np.zeros((1, 4, 4, 2)))
         k = T.leaf(np.zeros((3, 3, 2, 3)))
         with pytest.raises(ConfigurationError, match="conv_bn_relu"):
-            T.conv_bn_relu(x, k, None, T.leaf(np.ones(2)), T.leaf(np.zeros(3)),
+            T.conv_bn_relu(x, k, T.leaf(np.ones(2)), T.leaf(np.zeros(3)),
                            None, None, True)
         with pytest.raises(ConfigurationError, match="channel mismatch"):
-            T.conv_bn_relu(x, T.leaf(np.zeros((3, 3, 1, 3))), None, T.leaf(np.ones(3)),
+            T.conv_bn_relu(x, T.leaf(np.zeros((3, 3, 1, 3))), T.leaf(np.ones(3)),
                            T.leaf(np.zeros(3)), None, None, True)
 
 
