@@ -1,7 +1,7 @@
 """Attention-routed capsule networks on a self-contained autodiff engine."""
 
 from .errors import ArcapsError, ComputationError, ConfigurationError, InputDataError
-from .model import ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters
+from .model import ArCapsNet, ModelConfig, count_parameters
 from .optim import ParameterStore, RmspropState, rmsprop_step
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __all__ = [
     "ArcapsError",
     "ComputationError",
     "ConfigurationError",
-    "ConvCapsSpec",
     "InputDataError",
     "ModelConfig",
     "ParameterStore",

@@ -289,7 +289,7 @@ def perturb_and_decode(model: ArCapsNet, image, dimension, label=None) -> Pertur
     The zero offset reproduces the unperturbed reconstruction bitwise
     (every tile runs the same single-image decode path). Builds no graph.
     """
-    d_out = model.config.out_dim
+    d_out = model.config.caps_dim
     if not 0 <= dimension < d_out:
         raise InputDataError(
             f"dimension {dimension} out of range [0, {d_out})")

@@ -130,7 +130,7 @@ def _cmd_analyze_align(args):
         (out / f"cosine_{pair}.csv").write_text("\n".join(lines) + "\n",
                                                 encoding="utf-8")
 
-    d = model.config.out_dim
+    d = model.config.caps_dim
     mean, std = analysis.random_baseline(dim=d, vectors=5, trials=1000,
                                          seed=cfg.seed)
     fit_mean, fit_std = analysis.random_baseline_fitted(
@@ -142,7 +142,7 @@ def _cmd_analyze_align(args):
         encoding="utf-8")
 
     overall = report.overall_mean()
-    print(f"mean alignment ratio over {cfg.samples} samples: {overall:.4f}")
+    print(f"mean alignment ratio over {len(report.sample_indices)} samples: {overall:.4f}")
     print(f"random baseline (reference recipe, D={d}): {mean:.4f} +- {std:.4f}")
     print(f"random baseline (fitted procedure, D={d}): {fit_mean:.4f} +- {fit_std:.4f}")
     print(f"tables in {out}")
@@ -154,7 +154,7 @@ def _cmd_analyze_perturb(args):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    dims = cfg.dimensions or tuple(range(model.config.out_dim))
+    dims = cfg.dimensions or tuple(range(model.config.caps_dim))
     mc = model.config
     written = 0
     for class_id in range(mc.classes):

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
-from .model import ModelConfig, standard_stack
+from .model import ModelConfig
 
 DATA_DIR_ENV = "ARCAPS_DATA_DIR"
 
@@ -32,19 +32,19 @@ class RunConfig:
     input_width: int = _setting("model.input_width", "int", 0)
     input_height: int = _setting("model.input_height", "int", 0)
     input_channels: int = _setting("model.input_channels", "int", 0)
-    stem_width: int = _setting("model.stem_width", "int", 64)
-    primary_dim: int = _setting("model.primary_dim", "int", 16)
-    primary_channels: int = _setting("model.primary_channels", "int", 8)
-    conv_caps: int = _setting("model.conv_caps", "int", 1)
-    caps_dim: int = _setting("model.caps_dim", "int", 32)
-    caps_channels: int = _setting("model.caps_channels", "int", 8)
-    residual: bool = _setting("model.residual", "bool", True)
-    classes: int = _setting("model.classes", "int", 10)
-    decoder_widths: tuple = _setting("model.decoder_widths", "ints", (512, 512))
-    m_plus: float = _setting("loss.m_plus", "float", 0.9)
-    m_minus: float = _setting("loss.m_minus", "float", 0.1)
-    loss_lambda: float = _setting("loss.lambda", "float", 0.5)
-    recon_scale: float = _setting("loss.recon_scale", "float", 0.3)
+    stem_width: int = _setting("model.stem_width", "int", ModelConfig.stem_width)
+    primary_dim: int = _setting("model.primary_dim", "int", ModelConfig.primary_dim)
+    primary_channels: int = _setting("model.primary_channels", "int", ModelConfig.primary_channels)
+    conv_caps: int = _setting("model.conv_caps", "int", ModelConfig.conv_caps)
+    caps_dim: int = _setting("model.caps_dim", "int", ModelConfig.caps_dim)
+    caps_channels: int = _setting("model.caps_channels", "int", ModelConfig.caps_channels)
+    residual: bool = _setting("model.residual", "bool", ModelConfig.residual)
+    classes: int = _setting("model.classes", "int", ModelConfig.classes)
+    decoder_widths: tuple = _setting("model.decoder_widths", "ints", ModelConfig.decoder_widths)
+    m_plus: float = _setting("loss.m_plus", "float", ModelConfig.m_plus)
+    m_minus: float = _setting("loss.m_minus", "float", ModelConfig.m_minus)
+    loss_lambda: float = _setting("loss.lambda", "float", ModelConfig.loss_lambda)
+    recon_scale: float = _setting("loss.recon_scale", "float", ModelConfig.recon_scale)
     kind: str = _setting("data.kind", "str", "mnist")
     data_dir: str = _setting("data.dir", "str", "")
     train_images: str = _setting("data.train_images", "str", "train-images-idx3-ubyte")
@@ -87,20 +87,12 @@ class RunConfig:
         return w, h, c
 
     def model_config(self) -> ModelConfig:
+        """The ModelConfig of the same-named fields, with the input shape
+        derived by input_shape()."""
         w, h, c = self.input_shape()
-        return ModelConfig(
-            input_width=w, input_height=h, input_channels=c,
-            stem_width=self.stem_width,
-            primary_dim=self.primary_dim,
-            primary_channels=self.primary_channels,
-            conv_caps=standard_stack(self.conv_caps, self.caps_dim,
-                                     self.caps_channels, self.residual),
-            out_dim=self.caps_dim,
-            classes=self.classes,
-            decoder_widths=tuple(self.decoder_widths),
-            m_plus=self.m_plus, m_minus=self.m_minus,
-            loss_lambda=self.loss_lambda, recon_scale=self.recon_scale,
-        ).validate()
+        values = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
+        values.update(input_width=w, input_height=h, input_channels=c)
+        return ModelConfig(**values).validate()
 
     def augment_policy(self):
         from .data import AugmentPolicy

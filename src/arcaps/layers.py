@@ -16,6 +16,8 @@ from .errors import ComputationError, ConfigurationError
 
 # decay of the stem's batchnorm running statistics per train-mode forward
 BN_MOMENTUM = 0.9
+# probability that dropout keeps a capsule entry before each capsule layer
+KEEP_PROB = 0.5
 
 
 def squash(vec):
@@ -150,13 +152,12 @@ class ConvCaps:
 
     def __init__(self, store, name, in_dim, in_channels, dim, channels, rng,
                  stride=1, residual=False, ksize=(3, 3), padding="same",
-                 keep_prob=0.5, dtype=np.float32):
+                 dtype=np.float32):
         self.name = name
         self.stride = stride
         self.residual = residual
         self.ksize = ksize
         self.padding = padding
-        self.keep_prob = keep_prob
         self.in_channels = in_channels
         self.dim = dim
         self.channels = channels
@@ -185,7 +186,7 @@ class ConvCaps:
         )
 
     def forward(self, caps, train, rng=None):
-        dropped = T.dropout(caps, self.keep_prob, train, rng)
+        dropped = T.dropout(caps, KEEP_PROB, train, rng)
         try:
             pre = T.transform_route(dropped, self.transform, self.attention,
                                     self.ksize, self.stride, self.padding)
@@ -201,11 +202,10 @@ class FullyConvCaps(ConvCaps):
     extent with valid padding, so routing sees a single position."""
 
     def __init__(self, store, name, in_dim, in_channels, dim, channels,
-                 spatial, rng, keep_prob=0.5, dtype=np.float32):
+                 spatial, rng, dtype=np.float32):
         super().__init__(
             store, name, in_dim, in_channels, dim, channels, rng,
-            stride=1, residual=False, ksize=spatial, padding="valid",
-            keep_prob=keep_prob, dtype=dtype,
+            stride=1, residual=False, ksize=spatial, padding="valid", dtype=dtype,
         )
 
     def forward(self, caps, train, rng=None):
@@ -219,7 +219,8 @@ class FullyConvCaps(ConvCaps):
 
 
 class Decoder:
-    """Reconstruction decoder: three dense layers, relu hidden, sigmoid out."""
+    """Reconstruction decoder: one relu dense layer per entry of ``widths``,
+    then a sigmoid dense layer out to the pixels."""
 
     def __init__(self, store, name, in_width, widths, pixels, rng, dtype=np.float32):
         dims = [in_width, *widths, pixels]

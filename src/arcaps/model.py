@@ -14,21 +14,17 @@ from .optim import ParameterStore
 
 
 @dataclass(frozen=True)
-class ConvCapsSpec:
-    dim: int
-    channels: int
-    stride: int = 1
-    residual: bool = False
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     """Declarative architecture description.
 
-    The default values build the 28x28 grayscale 10-class network: a two
-    convolution stem of width 64, a primary layer of eight 16-dimensional
-    capsule channels, one stride-2 capsule layer and a ten-channel
-    32-dimensional output layer with a (512, 512) reconstruction decoder.
+    The fields are the RunConfig fields of the ``model.*`` and ``loss.*``
+    keys, with the same names and defaults, save that RunConfig derives
+    the input shape from the data. The default values build the 28x28
+    grayscale 10-class network: a two convolution stem of width 64, a
+    primary layer of eight 16-dimensional capsule channels, one stride-2
+    capsule layer and a ten-channel 32-dimensional output layer with a
+    (512, 512) reconstruction decoder. Capsule layers after the first keep
+    the spatial extent and, when ``residual`` is set, add their input.
     """
 
     input_width: int = 28
@@ -37,15 +33,16 @@ class ModelConfig:
     stem_width: int = 64
     primary_dim: int = 16
     primary_channels: int = 8
-    conv_caps: tuple[ConvCapsSpec, ...] = (ConvCapsSpec(dim=32, channels=8, stride=2),)
-    out_dim: int = 32
+    conv_caps: int = 1
+    caps_dim: int = 32
+    caps_channels: int = 8
+    residual: bool = True
     classes: int = 10
     decoder_widths: tuple[int, ...] = (512, 512)
     m_plus: float = 0.9
     m_minus: float = 0.1
     loss_lambda: float = 0.5
     recon_scale: float = 0.3
-    keep_prob: float = 0.5
 
     @property
     def pixels(self):
@@ -53,51 +50,25 @@ class ModelConfig:
 
     def spatial_chain(self):
         """(W, H) entering each capsule layer: primary output, then each
-        conv caps output, ending with the fully conv caps input."""
-        w = -(-self.input_width // 2)
-        h = -(-self.input_height // 2)
-        chain = [(w, h)]
-        for spec in self.conv_caps:
-            w = -(-w // spec.stride)
-            h = -(-h // spec.stride)
-            chain.append((w, h))
+        conv caps output, ending with the fully conv caps input. Only the
+        first conv caps layer has stride 2."""
+        chain = [(-(-self.input_width // 2), -(-self.input_height // 2))]
+        for i in range(self.conv_caps):
+            w, h = chain[-1]
+            chain.append((w, h) if i else (-(-w // 2), -(-h // 2)))
         return chain
 
     def validate(self):
-        if self.classes < 1:
-            raise ConfigurationError("classes must be >= 1")
         for name in ("input_width", "input_height", "input_channels", "stem_width",
-                     "primary_dim", "primary_channels", "out_dim"):
+                     "primary_dim", "primary_channels", "caps_dim", "caps_channels",
+                     "classes"):
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ConfigurationError("keep_prob must be in (0, 1]")
-        prev_dim, prev_ch = self.primary_dim, self.primary_channels
-        for i, spec in enumerate(self.conv_caps):
-            if spec.stride not in (1, 2):
-                raise ConfigurationError(f"conv_caps[{i}].stride must be 1 or 2")
-            if spec.residual and (
-                spec.stride != 1 or spec.dim != prev_dim or spec.channels != prev_ch
-            ):
-                raise ConfigurationError(
-                    f"conv_caps[{i}].residual requires stride 1 and matching "
-                    f"dim/channels (got {prev_dim}x{prev_ch} -> {spec.dim}x{spec.channels})"
-                )
-            prev_dim, prev_ch = spec.dim, spec.channels
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.conv_caps < 0:
+            raise ConfigurationError(f"conv_caps must be >= 0, got {self.conv_caps}")
+        if any(w < 1 for w in self.decoder_widths):
+            raise ConfigurationError(f"decoder_widths must all be >= 1, got {self.decoder_widths}")
         return self
-
-
-def standard_stack(count, dim, channels, residual=True):
-    """Capsule-layer stack used throughout: the first layer halves the
-    spatial extent; later layers keep it and (optionally) add residually."""
-    specs = []
-    for i in range(count):
-        if i == 0:
-            specs.append(ConvCapsSpec(dim=dim, channels=channels, stride=2))
-        else:
-            specs.append(ConvCapsSpec(dim=dim, channels=channels, stride=1,
-                                      residual=residual))
-    return tuple(specs)
 
 
 class ForwardResult:
@@ -138,19 +109,18 @@ class ArCapsNet:
         chain = config.spatial_chain()
         dim, ch = config.primary_dim, config.primary_channels
         self.caps_layers = []
-        for i, spec in enumerate(config.conv_caps):
+        for i in range(config.conv_caps):
             self.caps_layers.append(ConvCaps(
-                self.store, f"convcaps{i}", dim, ch, spec.dim, spec.channels,
-                rng, stride=spec.stride, residual=spec.residual,
-                keep_prob=config.keep_prob, dtype=dtype))
-            dim, ch = spec.dim, spec.channels
+                self.store, f"convcaps{i}", dim, ch, config.caps_dim, config.caps_channels,
+                rng, stride=1 if i else 2, residual=config.residual and i > 0, dtype=dtype))
+            dim, ch = config.caps_dim, config.caps_channels
 
         self.fully = FullyConvCaps(
-            self.store, "fullycaps", dim, ch, config.out_dim, config.classes,
-            chain[-1], rng, keep_prob=config.keep_prob, dtype=dtype)
+            self.store, "fullycaps", dim, ch, config.caps_dim, config.classes,
+            chain[-1], rng, dtype=dtype)
 
         self.decoder = Decoder(
-            self.store, "decoder", config.out_dim * config.classes,
+            self.store, "decoder", config.caps_dim * config.classes,
             config.decoder_widths, config.pixels, rng, dtype)
 
     # -- forward -----------------------------------------------------------
@@ -190,7 +160,7 @@ class ArCapsNet:
             caps = layer.forward(caps, train, rng)
         caps = self.fully.forward(caps, train, rng)
         b = caps.shape[0]
-        return T.reshape(caps, (b, self.config.out_dim, self.config.classes))
+        return T.reshape(caps, (b, self.config.caps_dim, self.config.classes))
 
     def _primary_capsules(self, images, train):
         """Stem and primary layer: a (B, W, H, C) array of images to the
@@ -306,20 +276,21 @@ def count_parameters(config: ModelConfig):
 
     chain = config.spatial_chain()
     dim, ch = d0, n0
-    for i, spec in enumerate(config.conv_caps):
-        transform = spec.channels * ch * 9 * dim * spec.dim
-        attention = spec.channels * spec.dim * ch
-        act = spec.channels * (spec.dim * spec.dim + spec.dim)
+    e, n = config.caps_dim, config.caps_channels
+    for i in range(config.conv_caps):
+        transform = n * ch * 9 * dim * e
+        attention = n * e * ch
+        act = n * (e * e + e)
         rows.append((f"convcaps{i}", transform + attention + act))
-        dim, ch = spec.dim, spec.channels
+        dim, ch = e, n
 
     w, h = chain[-1]
-    transform = config.classes * ch * w * h * dim * config.out_dim
-    attention = config.classes * config.out_dim * ch
-    act = config.classes * (config.out_dim * config.out_dim + config.out_dim)
+    transform = config.classes * ch * w * h * dim * e
+    attention = config.classes * e * ch
+    act = config.classes * (e * e + e)
     rows.append(("fullycaps", transform + attention + act))
 
-    dims = [config.out_dim * config.classes, *config.decoder_widths, config.pixels]
+    dims = [e * config.classes, *config.decoder_widths, config.pixels]
     dec = sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
     rows.append(("decoder", dec))
 

@@ -14,7 +14,7 @@ from .analysis import align_vector, relative_ratios
 from .errors import ComputationError
 from .gradcheck import check_gradients, numerical_gradient, relative_error
 from .layers import squash, squash_exp
-from .model import ArCapsNet, ConvCapsSpec, ModelConfig
+from .model import ArCapsNet, ModelConfig
 from .optim import ParameterStore, RmspropState, rmsprop_step
 
 
@@ -196,9 +196,8 @@ def _stem_oracle_check():
 
 def _tiny_model():
     cfg = ModelConfig(input_width=6, input_height=6, stem_width=2, primary_dim=2,
-                      primary_channels=2,
-                      conv_caps=(ConvCapsSpec(dim=2, channels=2, stride=2),),
-                      out_dim=3, classes=2, decoder_widths=(4, 4))
+                      primary_channels=2, caps_dim=3, caps_channels=2, classes=2,
+                      decoder_widths=(4, 4))
     return ArCapsNet(cfg, seed=3, dtype=np.float64), _rng(7).random((2, 6, 6, 1))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +63,13 @@ def _batch_rng(seed, epoch, batch_index):
 
 def save_model(path, model: ArCapsNet, run_config, best_val_error=float("inf")):
     """Write the store's arrays, the run config and a finite best_val_error."""
-    if run_config.model_config() != model.config:
+    ours, theirs = asdict(model.config), asdict(run_config.model_config())
+    if ours != theirs:
+        differ = "; ".join(f"{k}: model {ours[k]!r}, run_config {theirs[k]!r}"
+                           for k in ours if ours[k] != theirs[k])
         raise ConfigurationError(
             "run_config does not describe this model; the checkpoint would "
-            "not rebuild it")
+            f"not rebuild it ({differ})")
     meta = cfgmod.serialize(run_config)
     if np.isfinite(best_val_error):
         meta += f"state.best_val_error = {best_val_error!r}\n"

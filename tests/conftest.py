@@ -7,6 +7,7 @@ everything that needs a trained model shares it.
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import digitgen  # noqa: E402
 from arcaps import tensor as T  # noqa: E402
 from arcaps.config import RunConfig  # noqa: E402
 from arcaps.data import load_idx  # noqa: E402
-from arcaps.model import ArCapsNet, ConvCapsSpec, ModelConfig  # noqa: E402
+from arcaps.model import ArCapsNet, ModelConfig  # noqa: E402
 from arcaps.selftest import oracle_banks  # noqa: E402
 from arcaps.train import load_model, train  # noqa: E402
 
@@ -174,21 +175,16 @@ def untrained_model(desk_config):
 
 @pytest.fixture
 def tiny_config():
-    return ModelConfig(
-        input_width=8, input_height=8, stem_width=3, primary_dim=3,
-        primary_channels=2, conv_caps=(ConvCapsSpec(dim=4, channels=3, stride=2),),
-        out_dim=4, classes=3, decoder_widths=(8, 8))
+    return ModelConfig(input_width=8, input_height=8, stem_width=3, primary_dim=3,
+                       primary_channels=2, caps_dim=4, caps_channels=3, classes=3,
+                       decoder_widths=(8, 8))
 
 
 @pytest.fixture
 def tiny_run_config(tiny_config):
-    """RunConfig whose model_config() equals tiny_config."""
-    cfg = RunConfig(input_width=8, input_height=8, input_channels=1,
-                    stem_width=3, primary_dim=3, primary_channels=2,
-                    conv_caps=1, caps_dim=4, caps_channels=3, classes=3,
-                    decoder_widths=(8, 8))
-    assert cfg.model_config() == tiny_config
-    return cfg
+    """RunConfig whose model_config() is tiny_config: every ModelConfig
+    field is the RunConfig field of the same name."""
+    return RunConfig(**asdict(tiny_config))
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from arcaps.analysis import (alignment_experiment, perturb_and_decode,
 from arcaps.config import RunConfig
 from arcaps.data import load_idx
 from arcaps.layers import squash
-from arcaps.model import ArCapsNet, ModelConfig, count_parameters, standard_stack
+from arcaps.model import ArCapsNet, ModelConfig, count_parameters
 from arcaps.optim import ParameterStore
 from arcaps.selftest import routing_weights
 from arcaps.train import evaluate, load_model, train
@@ -38,12 +38,11 @@ def test_criterion_1_parameter_count_oracle():
     assert abs(total - 5.31e6) / 5.31e6 < 0.02
     assert sum(n for _, n in rows) == total
     t0, _ = count_parameters(ModelConfig(
-        input_width=32, input_height=32, input_channels=3, conv_caps=(),
-        out_dim=16))
+        input_width=32, input_height=32, input_channels=3, conv_caps=0,
+        caps_dim=16))
     assert abs(t0 - 7.3e6) / 7.3e6 < 0.05
     t4, _ = count_parameters(ModelConfig(
-        input_width=32, input_height=32, input_channels=3,
-        conv_caps=standard_stack(4, 32, 8), out_dim=32))
+        input_width=32, input_height=32, input_channels=3, conv_caps=4))
     assert abs(t4 - 9.6e6) / 9.6e6 < 0.05
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -237,7 +236,7 @@ def test_criterion_6_desk_scale_training_real_mnist(tmp_path):
 
 def test_criterion_7_equivariance_gap(trained_model, untrained_model,
                                       digits_test):
-    d_out = trained_model.config.out_dim
+    d_out = trained_model.config.caps_dim
     base_mean, base_std = random_baseline(dim=d_out, vectors=5, trials=1000,
                                           seed=0)
     rep_t = alignment_experiment(trained_model, digits_test, 150, seed=0)
@@ -261,7 +260,7 @@ def test_criterion_7_equivariance_gap(trained_model, untrained_model,
 
 
 def test_criterion_8_perturbation_protocol(trained_model, digits_test):
-    d_out = trained_model.config.out_dim
+    d_out = trained_model.config.caps_dim
     offsets = perturbation_offsets(d_out)
     step = 0.05 * np.sqrt(d_out)
     assert len(offsets) == 11

@@ -186,7 +186,7 @@ class TestDifferenceVectors:
         img = digits_test.images[1]
         diffs1, cls1 = difference_vectors(untrained_model, img, "Rot+", label=3)
         diffs2, cls2 = difference_vectors(untrained_model, img, "Rot+", label=3)
-        assert diffs1.shape == (5, untrained_model.config.out_dim)
+        assert diffs1.shape == (5, untrained_model.config.caps_dim)
         assert cls1 == cls2 == 3
         assert np.array_equal(diffs1, diffs2)
 
@@ -258,7 +258,7 @@ class TestPerturbation:
     def test_dimension_out_of_range_rejected(self, untrained_model, digits_test):
         with pytest.raises(InputDataError):
             perturb_and_decode(untrained_model, digits_test.images[0],
-                               untrained_model.config.out_dim)
+                               untrained_model.config.caps_dim)
 
     def test_zero_offset_tile_is_bitwise_unperturbed(self, trained_model,
                                                      digits_test):
@@ -273,7 +273,7 @@ class TestPerturbation:
                                                    digits_test):
         img = digits_test.images[3]
         label = int(digits_test.labels[3])
-        for dim in range(trained_model.config.out_dim):
+        for dim in range(trained_model.config.caps_dim):
             sweep = perturb_and_decode(trained_model, img, dim, label=label)
             center = sweep.reconstructions[5]
             lo = np.linalg.norm(sweep.reconstructions[0] - center)

@@ -1,6 +1,7 @@
 """Config file parsing and the command-line surface."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import arcaps.cli
 from arcaps import checkpoint, config as cfgmod
 from arcaps.cli import main
 from arcaps.errors import ConfigurationError
-from arcaps.model import ArCapsNet, standard_stack
+from arcaps.model import ArCapsNet, ModelConfig
 from arcaps.train import save_model
 
 import digitgen
@@ -26,6 +27,18 @@ class TestConfigParsing:
         model = cfg.model_config()
         assert (model.input_width, model.input_height) == (28, 28)
         assert model.stem_width == 64 and model.classes == 10
+
+    def test_model_config_fields_are_run_config_fields(self):
+        # one declaration of the architecture: each ModelConfig field is the
+        # model.* or loss.* setting of the same name and default, except the
+        # input shape, whose settings default to 0 (derive from data.kind)
+        run = {f.name: f.default for f in fields(cfgmod.RunConfig)
+               if f.metadata["key"].split(".")[0] in ("model", "loss")}
+        assert list(run) == [f.name for f in fields(ModelConfig)]
+        derived = ("input_width", "input_height", "input_channels")
+        for f in fields(ModelConfig):
+            assert run[f.name] == (0 if f.name in derived else f.default), f.name
+        assert cfgmod.RunConfig().model_config() == ModelConfig()
 
     def test_round_trip_law(self):
         cfg = cfgmod.RunConfig(stem_width=32, caps_dim=16, translate=0.1,
@@ -89,7 +102,10 @@ class TestConfigParsing:
         p.write_text("data.kind = cifar10\nmodel.conv_caps = 4\nmodel.caps_dim = 32\n")
         cfg = cfgmod.parse_file(p)
         model = cfg.model_config()
-        assert model.conv_caps == standard_stack(4, 32, 8)
+        assert (model.conv_caps, model.caps_dim, model.caps_channels) == (4, 32, 8)
+        assert model.residual
+        # only the first capsule layer halves the extent
+        assert model.spatial_chain() == [(16, 16)] + [(8, 8)] * 4
         assert model.input_channels == 3
         from arcaps.model import count_parameters
 
@@ -265,6 +281,12 @@ class TestFlagResolution:
         assert main(["analyze-align", "--checkpoint", checkpoint, "--seed", "5"]) == 0
         (args, kwargs), = calls
         assert kwargs["seed"] == 5
+
+    def test_analyze_align_reports_the_clamped_sample_count(self, checkpoint, capsys):
+        # the test set holds 12 images; the experiment clamps 50 to them
+        with pytest.warns(UserWarning, match="clamping"):
+            assert main(["analyze-align", "--checkpoint", checkpoint, "--samples", "50"]) == 0
+        assert "mean alignment ratio over 12 samples:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["selftest", "--config", "x"],

@@ -259,12 +259,9 @@ def test_every_trainable_parameter_reaches_the_loss(seed):
 
 
 def test_gradients_bitwise_reproducible(rng):
-    from arcaps.model import ArCapsNet, ConvCapsSpec, ModelConfig
+    from arcaps.model import ArCapsNet
 
-    cfg = ModelConfig(input_width=6, input_height=6, stem_width=2, primary_dim=2,
-                      primary_channels=2,
-                      conv_caps=(ConvCapsSpec(dim=2, channels=2, stride=2),),
-                      out_dim=3, classes=2, decoder_widths=(4, 4))
+    cfg = selftest._tiny_model()[0].config
     images = rng.random((2, 6, 6, 1), dtype=np.float32)
     labels = np.array([0, 1])
 

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import weakref
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,8 @@ import pytest
 
 from arcaps import checkpoint, layers, tensor as T
 from arcaps.errors import ConfigurationError, InputDataError
-from arcaps.model import (ArCapsNet, ConvCapsSpec, ModelConfig, count_parameters,
-                          margin_loss, normalized_length, reconstruction_loss,
-                          standard_stack)
+from arcaps.model import (ArCapsNet, ModelConfig, count_parameters, margin_loss,
+                          normalized_length, reconstruction_loss)
 from arcaps.train import load_model, save_model
 from arcaps.config import RunConfig
 from conftest import blocks_of_two, corrupt_headers
@@ -20,7 +20,7 @@ from conftest import blocks_of_two, corrupt_headers
 
 MNIST_CONFIG = ModelConfig()
 CIFAR_CONFIG = ModelConfig(input_width=32, input_height=32, input_channels=3,
-                           conv_caps=standard_stack(4, 32, 8), out_dim=32)
+                           conv_caps=4)
 
 
 class TestBuild:
@@ -44,6 +44,10 @@ class TestBuild:
 
     def test_cifar_residual_config_builds_and_runs(self, rng):
         net = ArCapsNet(CIFAR_CONFIG, seed=0)
+        # one stride-2 capsule layer, then residual stride-1 layers
+        assert [(layer.stride, layer.residual) for layer in net.caps_layers] == [
+            (2, False)] + [(1, True)] * 3
+        assert net.fully.ksize == (8, 8)
         images = rng.random((2, 32, 32, 3), dtype=np.float32)
         result = net.forward(images)
         assert result.scores.shape == (2, 10)
@@ -51,17 +55,20 @@ class TestBuild:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError, match="classes"):
             ModelConfig(classes=0).validate()
-        with pytest.raises(ConfigurationError, match="residual"):
-            ModelConfig(conv_caps=(
-                ConvCapsSpec(dim=32, channels=8, stride=2, residual=True),
-            )).validate()
         with pytest.raises(ConfigurationError, match="stem_width"):
             ModelConfig(stem_width=0).validate()
+        with pytest.raises(ConfigurationError, match="conv_caps must be >= 0, got -2"):
+            ModelConfig(conv_caps=-2).validate()
+        with pytest.raises(ConfigurationError, match="caps_channels must be >= 1, got 0"):
+            ModelConfig(caps_channels=0).validate()
+        with pytest.raises(ConfigurationError, match=re.escape("decoder_widths must all be "
+                                                               ">= 1, got (512, -3)")):
+            ModelConfig(decoder_widths=(512, -3)).validate()
 
     def test_train_mode_requires_labels(self, rng):
         net = ArCapsNet(ModelConfig(input_width=8, input_height=8, stem_width=2,
                                     primary_dim=2, primary_channels=2,
-                                    conv_caps=(), out_dim=3, classes=2,
+                                    conv_caps=0, caps_dim=3, classes=2,
                                     decoder_widths=(4,)), seed=0)
         with pytest.raises(ConfigurationError):
             net.forward(rng.random((1, 8, 8, 1), dtype=np.float32), train=True)
@@ -89,7 +96,7 @@ class TestNormalizedLength:
     def test_scores_in_unit_interval_via_tanh_bound(self, rng):
         net = ArCapsNet(ModelConfig(input_width=8, input_height=8, stem_width=3,
                                     primary_dim=3, primary_channels=2,
-                                    conv_caps=(), out_dim=4, classes=3,
+                                    conv_caps=0, caps_dim=4, classes=3,
                                     decoder_widths=(4,)), seed=1)
         result = net.forward(rng.random((4, 8, 8, 1), dtype=np.float32))
         assert np.all(result.scores.data >= 0)
@@ -165,7 +172,7 @@ class TestDecode:
     def small_net(self):
         return ArCapsNet(ModelConfig(input_width=8, input_height=8, stem_width=2,
                                      primary_dim=2, primary_channels=2,
-                                     conv_caps=(), out_dim=4, classes=3,
+                                     conv_caps=0, caps_dim=4, classes=3,
                                      decoder_widths=(6, 6)), seed=2)
 
     def test_zero_capsules_give_bias_chain_constant(self, small_net, rng):
@@ -198,20 +205,18 @@ class TestCountParameters:
     def test_cifar_grid_rows(self):
         t0, _ = count_parameters(ModelConfig(
             input_width=32, input_height=32, input_channels=3,
-            conv_caps=(), out_dim=16))
+            conv_caps=0, caps_dim=16))
         assert abs(t0 - 7.3e6) / 7.3e6 < 0.05
         t4, _ = count_parameters(CIFAR_CONFIG)
         assert abs(t4 - 9.6e6) / 9.6e6 < 0.05
 
     @pytest.mark.parametrize("cfg", [
         ModelConfig(input_width=8, input_height=8, stem_width=3, primary_dim=3,
-                    primary_channels=2,
-                    conv_caps=(ConvCapsSpec(dim=4, channels=3, stride=2),),
-                    out_dim=4, classes=3, decoder_widths=(8, 8)),
+                    primary_channels=2, caps_dim=4, caps_channels=3, classes=3,
+                    decoder_widths=(8, 8)),
         ModelConfig(input_width=10, input_height=10, stem_width=4, primary_dim=2,
-                    primary_channels=3,
-                    conv_caps=standard_stack(2, 4, 3),
-                    out_dim=5, classes=4, decoder_widths=(8,)),
+                    primary_channels=3, conv_caps=2, caps_dim=5, caps_channels=3,
+                    classes=4, decoder_widths=(8,)),
         MNIST_CONFIG,
     ])
     def test_arithmetic_count_matches_built_store(self, cfg):
@@ -262,6 +267,37 @@ class TestCheckpoint:
         net = ArCapsNet(tiny_config, seed=0)
         with pytest.raises(ConfigurationError, match="does not describe"):
             save_model(tmp_path / "bad.ckpt", net, RunConfig())
+
+    def test_mismatch_error_names_the_differing_fields(self, tmp_path, tiny_config):
+        net = ArCapsNet(tiny_config, seed=0)
+        run_cfg = RunConfig(**{**asdict(tiny_config), "caps_dim": 5, "residual": False})
+        with pytest.raises(ConfigurationError) as err:
+            save_model(tmp_path / "bad.ckpt", net, run_cfg)
+        assert str(err.value).endswith(
+            "(caps_dim: model 4, run_config 5; residual: model True, run_config False)")
+        assert not list(tmp_path.iterdir())
+
+    def test_non_default_model_round_trips_bitwise(self, tmp_path, rng):
+        # every field off its default, with two capsule layers
+        cfg = ModelConfig(input_width=9, input_height=7, input_channels=2, stem_width=3,
+                          primary_dim=2, primary_channels=3, conv_caps=2, caps_dim=3,
+                          caps_channels=2, residual=False, classes=4, decoder_widths=(5,),
+                          m_plus=0.8, m_minus=0.2, loss_lambda=0.25, recon_scale=0.1)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(ModelConfig))
+        net = ArCapsNet(cfg, seed=5)
+        images = rng.random((3, 9, 7, 2), dtype=np.float32)
+        labels = np.array([0, 3, 1])
+        net.loss(images, labels, train=True, rng=np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_model(path, net, RunConfig(**asdict(cfg)))
+        loaded, _, _ = load_model(path)
+        assert loaded.config == cfg
+        assert loaded.store.names() == net.store.names()
+        for name, t in net.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
+        want, got = net.loss(images, labels), loaded.loss(images, labels)
+        for a, b in zip(want[:3], got[:3]):
+            assert a.item() == b.item()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
