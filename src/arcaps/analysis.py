@@ -192,8 +192,9 @@ class AlignmentReport:
         return table, overall
 
     def overall_mean(self):
-        values = np.concatenate([rec.ratios for rec in self.records])
-        return float(values.mean())
+        """Mean of every ratio of every record; NaN when there are none."""
+        ratios = [rec.ratios for rec in self.records]
+        return float(np.concatenate(ratios).mean()) if ratios else float("nan")
 
     def to_csv(self):
         """Table text: one row per digit plus an avg row, one family per column."""
@@ -213,7 +214,10 @@ def alignment_experiment(model: ArCapsNet, dataset, sample_count=10000,
     Samples without replacement (clamping to the dataset size with a
     warning), computes the per-family align vector and ratios per image,
     and aggregates means per (digit, family) into a digit-by-family table.
+    A sample_count below 1 is an InputDataError.
     """
+    if sample_count < 1:
+        raise InputDataError(f"sample_count must be >= 1, got {sample_count}")
     count = len(dataset)
     if sample_count > count:
         warnings.warn(

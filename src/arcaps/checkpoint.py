@@ -1,7 +1,7 @@
 """Binary checkpoint container.
 
 Layout:
-  8 bytes   magic "ARCAPS04"
+  8 bytes   magic "ARCAPS05"
   8 bytes   metadata length, unsigned little-endian
   N bytes   metadata, UTF-8 text (config lines, then state.* lines)
   records until end of file, each:
@@ -17,9 +17,10 @@ capsule layer stores its transform as one ``<layer>.transform`` record of
 shape (M, kw*kh*D_in, N*D_out). ``train.save_model`` writes one record
 per ParameterStore entry (parameters and batchnorm running statistics)
 and nothing else; a stem block stores no conv bias. A record name that
-repeats an earlier one is rejected. Files of earlier formats are rejected
-with the reason (see ``_OLD_MAGICS``; "ARCAPS03" files hold the stem conv
-biases); there is no conversion path.
+repeats an earlier one, and metadata or a record name that is not UTF-8,
+are rejected. Files of earlier formats are rejected with the reason (see
+``_OLD_MAGICS``; "ARCAPS04" files hold the loss.* config keys); there is
+no conversion path.
 
 ``save`` writes ``<path>.tmp`` next to the target and renames it over the
 target only once it is complete and synced, so a crash mid-write leaves
@@ -37,12 +38,13 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 
-MAGIC = b"ARCAPS04"
+MAGIC = b"ARCAPS05"
 _OLD_MAGICS = {
     b"ARCAPS01": "stores one transform record per output channel",
     b"ARCAPS02": ("may hold optimizer state and has a config key this "
                   "version no longer accepts"),
     b"ARCAPS03": "stores stem conv biases that batchnorm cancels",
+    b"ARCAPS04": "has loss.* config keys this version no longer accepts",
 }
 
 
@@ -75,6 +77,17 @@ def _read_exact(fh, count, path, what):
             f"{path}: truncated checkpoint while reading {what} "
             f"(wanted {count} bytes at offset {fh.tell() - len(buf)})")
     return buf
+
+
+def _read_text(fh, count, path, what):
+    """_read_exact's bytes as UTF-8 text; bytes that are not UTF-8 are an
+    InputDataError naming the offset of the first bad one."""
+    start = fh.tell()
+    try:
+        return _read_exact(fh, count, path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputDataError(
+            f"{path}: {what} is not UTF-8 (byte at offset {start + exc.start})") from None
 
 
 def _read_array(fh, shape, path, name):
@@ -117,8 +130,8 @@ def save(path, metadata_text, arrays):
 
 def load(path):
     """Read a checkpoint; returns (metadata_text, name -> float32 array).
-    Truncation, an earlier format and a repeated record name are
-    InputDataError."""
+    Truncation, an earlier format, text that is not UTF-8 and a repeated
+    record name are InputDataError."""
     arrays = {}
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -130,7 +143,7 @@ def load(path):
             raise InputDataError(
                 f"{path}: bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "metadata length"))
-        meta = _read_exact(fh, meta_len, path, "metadata").decode("utf-8")
+        meta = _read_text(fh, meta_len, path, "metadata")
         while True:
             head = fh.read(8)
             if not head:
@@ -139,15 +152,12 @@ def load(path):
                 raise InputDataError(
                     f"{path}: truncated record header at offset {fh.tell() - len(head)}")
             (name_len,) = struct.unpack("<Q", head)
-            name = _read_exact(fh, name_len, path, "record name").decode("utf-8")
+            name = _read_text(fh, name_len, path, "record name")
             if name in arrays:
                 raise InputDataError(f"{path}: duplicate record {name!r} at offset "
                                      f"{fh.tell() - 8 - name_len}")
             (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"rank of {name!r}"))
-            _check_size(fh, 8 * rank, path, f"extents of {name!r}")
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8, path, f"extent of {name!r}"))[0]
-                for _ in range(rank)
-            )
+            shape = struct.unpack(f"<{rank}Q",
+                                  _read_exact(fh, 8 * rank, path, f"extents of {name!r}"))
             arrays[name] = _read_array(fh, shape, path, name)
     return meta, arrays

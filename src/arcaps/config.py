@@ -41,10 +41,6 @@ class RunConfig:
     residual: bool = _setting("model.residual", "bool", ModelConfig.residual)
     classes: int = _setting("model.classes", "int", ModelConfig.classes)
     decoder_widths: tuple = _setting("model.decoder_widths", "ints", ModelConfig.decoder_widths)
-    m_plus: float = _setting("loss.m_plus", "float", ModelConfig.m_plus)
-    m_minus: float = _setting("loss.m_minus", "float", ModelConfig.m_minus)
-    loss_lambda: float = _setting("loss.lambda", "float", ModelConfig.loss_lambda)
-    recon_scale: float = _setting("loss.recon_scale", "float", ModelConfig.recon_scale)
     kind: str = _setting("data.kind", "str", "mnist")
     data_dir: str = _setting("data.dir", "str", "")
     train_images: str = _setting("data.train_images", "str", "train-images-idx3-ubyte")
@@ -160,8 +156,13 @@ def parse_lines(lines, base=None, source="<config>"):
 
 
 def parse_file(path, base=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lines(fh.read().splitlines(), base=base, source=str(path))
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"{path}: not UTF-8 text (byte at offset {exc.start})") from None
+    return parse_lines(text.splitlines(), base=base, source=str(path))
 
 
 def serialize(cfg: RunConfig):

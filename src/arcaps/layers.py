@@ -237,6 +237,6 @@ class Decoder:
 
     def forward(self, x):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.add_rowvec(T.matmul(x, w), b)
+            x = T.matmul(x, w, b)
             x = T.sigmoid(x) if i == len(self.weights) - 1 else T.relu(x)
         return x

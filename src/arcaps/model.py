@@ -12,14 +12,23 @@ from .errors import ConfigurationError, InputDataError
 from .layers import ConvBlock, Decoder, FullyConvCaps, PrimaryCaps, ConvCaps
 from .optim import ParameterStore
 
+# the CapsNet margin loss (Sabour et al. 2017): the present and absent
+# class margins and the weight of the absent classes' term
+M_PLUS = 0.9
+M_MINUS = 0.1
+LOSS_LAMBDA = 0.5
+# weight of the mean squared reconstruction error in the total loss
+RECON_SCALE = 0.3
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Declarative architecture description.
 
-    The fields are the RunConfig fields of the ``model.*`` and ``loss.*``
-    keys, with the same names and defaults, save that RunConfig derives
-    the input shape from the data. The default values build the 28x28
+    The fields are the RunConfig fields of the ``model.*`` keys, with the
+    same names and defaults, save that RunConfig derives the input shape
+    from the data. The loss takes no field: its constants are M_PLUS,
+    M_MINUS, LOSS_LAMBDA and RECON_SCALE. The default values build the 28x28
     grayscale 10-class network: a two convolution stem of width 64, a
     primary layer of eight 16-dimensional capsule channels, one stride-2
     capsule layer and a ten-channel 32-dimensional output layer with a
@@ -39,10 +48,6 @@ class ModelConfig:
     residual: bool = True
     classes: int = 10
     decoder_widths: tuple[int, ...] = (512, 512)
-    m_plus: float = 0.9
-    m_minus: float = 0.1
-    loss_lambda: float = 0.5
-    recon_scale: float = 0.3
 
     @property
     def pixels(self):
@@ -205,12 +210,10 @@ class ArCapsNet:
     def loss(self, images, labels, train=False, rng=None):
         """Total, margin and reconstruction loss tensors plus the result."""
         result = self.forward(images, labels, train=train, rng=rng)
-        cfg = self.config
-        margin = margin_loss(result.scores, labels, cfg.classes,
-                             cfg.m_plus, cfg.m_minus, cfg.loss_lambda)
+        margin = margin_loss(result.scores, labels, self.config.classes)
         flat = images.reshape(images.shape[0], -1).astype(self.dtype, copy=False)
         recon = reconstruction_loss(result.reconstruction, flat)
-        total = T.add(margin, T.affine(recon, cfg.recon_scale))
+        total = T.add(margin, T.affine(recon, RECON_SCALE))
         return total, margin, recon, result
 
 
@@ -221,11 +224,11 @@ def normalized_length(capsules):
     return T.affine(T.capsule_norm(capsules), 1.0 / math.sqrt(d))
 
 
-def margin_loss(scores, labels, classes, m_plus=0.9, m_minus=0.1, lam=0.5):
+def margin_loss(scores, labels, classes):
     """Two-sided hinge-squared loss on class scores, averaged over the batch.
 
-    Present classes are pushed above m_plus, absent ones below m_minus
-    (down-weighted by lam).
+    Present classes are pushed above M_PLUS, absent ones below M_MINUS
+    (down-weighted by LOSS_LAMBDA).
     """
     b = scores.shape[0]
     labels = np.asarray(labels)
@@ -234,9 +237,9 @@ def margin_loss(scores, labels, classes, m_plus=0.9, m_minus=0.1, lam=0.5):
             f"label out of range [0, {classes}): {labels.min()}..{labels.max()}")
     present = np.zeros((b, classes), dtype=scores.dtype)
     present[np.arange(b), labels] = 1.0
-    pos = T.square(T.relu(T.affine(scores, -1.0, m_plus)))
-    neg = T.square(T.relu(T.affine(scores, 1.0, -m_minus)))
-    per_class = T.add(T.scale_by(pos, present), T.scale_by(neg, lam * (1.0 - present)))
+    pos = T.square(T.relu(T.affine(scores, -1.0, M_PLUS)))
+    neg = T.square(T.relu(T.affine(scores, 1.0, -M_MINUS)))
+    per_class = T.add(T.scale_by(pos, present), T.scale_by(neg, LOSS_LAMBDA * (1.0 - present)))
     return T.affine(T.sum_all(per_class), 1.0 / b)
 
 
@@ -246,7 +249,7 @@ def reconstruction_loss(decoded, target_pixels):
         raise InputDataError(
             f"reconstruction shape {decoded.shape} != target {target_pixels.shape}")
     diff = T.add(decoded, T.leaf(-target_pixels))
-    return T.mean_all(T.square(diff))
+    return T.affine(T.sum_all(T.square(diff)), 1.0 / diff.data.size)
 
 
 # ---------------------------------------------------------------------------

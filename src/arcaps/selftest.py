@@ -94,7 +94,7 @@ def _op_gradient_checks():
     m2 = rng.standard_normal((4, 2))
     bias = rng.standard_normal(2)
     checks.append(("matmul+bias", [m1, m2, bias],
-                   lambda ts: T.sum_all(T.mul(T.add_rowvec(T.matmul(ts[0], ts[1]), ts[2]),
+                   lambda ts: T.sum_all(T.mul(T.matmul(ts[0], ts[1], ts[2]),
                                               T.leaf(_marker((3, 2)))))))
 
     cv = rng.standard_normal((3, 4, 2)) + 0.5

@@ -303,15 +303,6 @@ def sum_all(x):
     return Tensor(x.data.sum(dtype=x.dtype).reshape(()), (x,), rule)
 
 
-def mean_all(x):
-    inv = 1.0 / x.data.size
-
-    def rule(out):
-        x.accumulate_grad(np.full_like(x.data, out.grad.reshape(-1)[0] * inv))
-
-    return Tensor((x.data.sum(dtype=x.dtype) * inv).reshape(()).astype(x.dtype), (x,), rule)
-
-
 def reshape(x, shape):
     def rule(out):
         x.accumulate_grad(out.grad.reshape(x.data.shape))
@@ -323,30 +314,26 @@ def reshape(x, shape):
 # dense / matrix operations
 
 
-def matmul(x, w):
+def matmul(x, w, bias=None):
+    """x @ w for a (B, F) x and an (F, G) w, plus a (G,) bias row when given
+    (added in place to the product; its gradient is the column sum)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ConfigurationError(f"matmul() shapes incompatible: {x.shape} @ {w.shape}")
+    if bias is not None and bias.shape != (w.shape[1],):
+        raise ConfigurationError(f"matmul() bias shape {bias.shape} != ({w.shape[1]},)")
+    out = x.data @ w.data
+    if bias is not None:
+        out += bias.data
 
-    def rule(out):
+    def rule(node):
         if x.needs_grad:
-            x.accumulate_grad(out.grad @ w.data.T)
+            x.accumulate_grad(node.grad @ w.data.T)
         if w.needs_grad:
-            w.accumulate_grad(x.data.T @ out.grad)
+            w.accumulate_grad(x.data.T @ node.grad)
+        if bias is not None and bias.needs_grad:
+            bias.accumulate_grad(node.grad.sum(axis=0))
 
-    return Tensor(x.data @ w.data, (x, w), rule)
-
-
-def add_rowvec(x, b):
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ConfigurationError(f"add_rowvec() shapes incompatible: {x.shape} + {b.shape}")
-
-    def rule(out):
-        if x.needs_grad:
-            x.accumulate_grad(out.grad)
-        if b.needs_grad:
-            b.accumulate_grad(out.grad.sum(axis=0))
-
-    return Tensor(x.data + b.data, (x, b), rule)
+    return Tensor(out, (x, w) if bias is None else (x, w, bias), rule)
 
 
 def capsule_norm(x):

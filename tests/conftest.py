@@ -5,6 +5,7 @@ everything that needs a trained model shares it.
 """
 
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -78,9 +79,12 @@ def blocks_of_two(monkeypatch):
 
 
 def corrupt_headers(raw):
-    """Copies of the checkpoint bytes ``raw``, each with one declared size far
+    """Copies of the checkpoint bytes ``raw``, each with one corrupt header,
+    as (bytes, pattern of the load error) pairs. Three declare a size far
     beyond the file: a 2^62 metadata length, a 2^62 name length of the first
-    record, and the first record made rank 2 with extents (2^40, 2^20)."""
+    record, and the first record made rank 2 with extents (2^40, 2^20). Two
+    hold text that is not UTF-8: the metadata b"\\xff\\xfe bad", and the first
+    record's name with its first byte made 0xff."""
     meta_len = int.from_bytes(raw[8:16], "little")
     rec = 16 + meta_len
     name_len = int.from_bytes(raw[rec:rec + 8], "little")
@@ -90,8 +94,17 @@ def corrupt_headers(raw):
         packed = b"".join(v.to_bytes(8, "little") for v in values)
         return data[:offset] + packed + data[offset + len(packed):]
 
-    return [put(raw, 8, 1 << 62), put(raw, rec, 1 << 62),
-            put(raw, rank_at, 2, 1 << 40, 1 << 20)]
+    def beyond(what):
+        return f"truncated checkpoint: {what} declares .* at offset"
+
+    bad_meta = b"\xff\xfe bad"
+    return [(put(raw, 8, 1 << 62), beyond("metadata")),
+            (put(raw, rec, 1 << 62), beyond("record name")),
+            (put(raw, rank_at, 2, 1 << 40, 1 << 20), beyond("data of '.*'")),
+            (raw[:8] + len(bad_meta).to_bytes(8, "little") + bad_meta + raw[rec:],
+             re.escape("metadata is not UTF-8 (byte at offset 16)")),
+            (raw[:rec + 8] + b"\xff" + raw[rec + 9:],
+             re.escape(f"record name is not UTF-8 (byte at offset {rec + 8})"))]
 
 
 def routing_logits(x, ref):

@@ -208,6 +208,14 @@ class TestAlignmentExperiment:
             rep = alignment_experiment(untrained_model, small, 50, seed=0)
         assert len(rep.sample_indices) == 5
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_count_below_one_rejected(self, untrained_model, digits_test, count):
+        with pytest.raises(InputDataError, match=f"sample_count must be >= 1, got {count}"):
+            alignment_experiment(untrained_model, digits_test, count, seed=0)
+
+    def test_overall_mean_of_no_records_is_nan(self):
+        assert np.isnan(AlignmentReport(families=("Rot+",)).overall_mean())
+
 
 class TestCosineHistogram:
     def _report(self, records):

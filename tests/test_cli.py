@@ -30,10 +30,10 @@ class TestConfigParsing:
 
     def test_model_config_fields_are_run_config_fields(self):
         # one declaration of the architecture: each ModelConfig field is the
-        # model.* or loss.* setting of the same name and default, except the
-        # input shape, whose settings default to 0 (derive from data.kind)
+        # model.* setting of the same name and default, except the input
+        # shape, whose settings default to 0 (derive from data.kind)
         run = {f.name: f.default for f in fields(cfgmod.RunConfig)
-               if f.metadata["key"].split(".")[0] in ("model", "loss")}
+               if f.metadata["key"].startswith("model.")}
         assert list(run) == [f.name for f in fields(ModelConfig)]
         derived = ("input_width", "input_height", "input_channels")
         for f in fields(ModelConfig):
@@ -44,21 +44,24 @@ class TestConfigParsing:
         cfg = cfgmod.RunConfig(stem_width=32, caps_dim=16, translate=0.1,
                                flip=True, decoder_widths=(64, 32),
                                families=("Rot+", "Rot-"), dimensions=(0, 3),
-                               out_dir="runs/x", loss_lambda=0.25)
+                               out_dir="runs/x")
         text = cfgmod.serialize(cfg)
         assert cfgmod.parse_lines(text.splitlines()) == cfg
-
-    def test_loss_key_round_trips(self, tmp_path):
-        p = tmp_path / "m.cfg"
-        p.write_text("loss.m_plus = 0.8\n")
-        cfg = cfgmod.parse_file(p)
-        assert cfg.m_plus == 0.8
-        assert "loss.m_plus = 0.8" in cfgmod.serialize(cfg)
 
     def test_unknown_key_names_line_number(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("model.stem_width = 32\nmodel.stemwidth = 9\n")
         with pytest.raises(ConfigurationError, match="line 2"):
+            cfgmod.parse_file(p)
+
+    @pytest.mark.parametrize("key", ["loss.m_plus", "loss.m_minus", "loss.lambda",
+                                     "loss.recon_scale"])
+    def test_loss_keys_are_unknown(self, tmp_path, key):
+        # the loss constants are module constants (model.M_PLUS etc.), not settings
+        p = tmp_path / "loss.cfg"
+        p.write_text(f"model.stem_width = 32\n{key} = 0.5\n")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{p} line 2: unknown key {key!r}")):
             cfgmod.parse_file(p)
 
     def test_type_error_names_line_number(self, tmp_path):
@@ -114,7 +117,7 @@ class TestConfigParsing:
 
 
 def _earlier_format(path):
-    path.write_bytes(b"ARCAPS03" + path.read_bytes()[8:])
+    path.write_bytes(b"ARCAPS04" + path.read_bytes()[8:])
 
 
 def _wider_stem_in_config(path):
@@ -149,13 +152,23 @@ class TestCli:
                                                       tiny_run_config):
         ckpt = tmp_path / "model.ckpt"
         save_model(ckpt, ArCapsNet(tiny_config, seed=0), tiny_run_config)
-        ckpt.write_bytes(corrupt_headers(ckpt.read_bytes())[0])
-        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
-        assert "truncated checkpoint: metadata declares" in capsys.readouterr().err
+        for corrupt, message in corrupt_headers(ckpt.read_bytes()):
+            ckpt.write_bytes(corrupt)
+            assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+            assert re.search(f"data error: {re.escape(str(ckpt))}: {message}",
+                             capsys.readouterr().err)
+
+    def test_config_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        raw = b"model.stem_width = 32\n# caf\xff\n"
+        p.write_bytes(raw)
+        assert main(["count-params", "--config", str(p)]) == 1
+        assert (f"error: {p}: not UTF-8 text (byte at offset {raw.index(0xff)})"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("corrupt,reason", [
-        (_earlier_format, "b'ARCAPS03' checkpoint stores stem conv biases that batchnorm "
-                          "cancels; this version reads only b'ARCAPS04'"),
+        (_earlier_format, "b'ARCAPS04' checkpoint has loss.* config keys this version "
+                          "no longer accepts; this version reads only b'ARCAPS05'"),
         (_wider_stem_in_config, "records do not fit the file's config: parameter "
                                 "'stem0.kernel' shape (3, 3, 1, 3) != expected (3, 3, 1, 4)"),
     ], ids=["earlier-format", "records-not-fitting-config"])
@@ -287,6 +300,12 @@ class TestFlagResolution:
         with pytest.warns(UserWarning, match="clamping"):
             assert main(["analyze-align", "--checkpoint", checkpoint, "--samples", "50"]) == 0
         assert "mean alignment ratio over 12 samples:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_analyze_align_samples_below_one_is_data_error(self, checkpoint, capsys, samples):
+        assert main(["analyze-align", "--checkpoint", checkpoint, "--samples", samples]) == 2
+        assert (f"data error: sample_count must be >= 1, got {samples}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["selftest", "--config", "x"],

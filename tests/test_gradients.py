@@ -218,7 +218,7 @@ def test_dense_gradients(seed):
     b = rng.standard_normal(g) * 0.1
     arrays = [x, w, b]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.add_rowvec(T.matmul(ts[0], ts[1]), ts[2]), arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.matmul(ts[0], ts[1], ts[2]), arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,6 +1,7 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
 import contextlib
+import re
 import tracemalloc
 import weakref
 
@@ -416,6 +417,20 @@ class TestElementwise:
             T.add(T.leaf(np.zeros((2, 3))), T.leaf(np.zeros((3, 2))))
 
 
+class TestMatmul:
+    def test_bias_row_added_to_every_product_row(self, rng):
+        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
+        out = T.matmul(T.leaf(x), T.leaf(w), T.leaf(b)).data
+        assert np.array_equal(out, x @ w + b)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 1)])
+    def test_bias_must_be_one_value_per_output_column(self, shape):
+        x, w = T.leaf(np.zeros((3, 4))), T.leaf(np.zeros((4, 2)))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"matmul() bias shape {shape} != (2,)")):
+            T.matmul(x, w, T.leaf(np.zeros(shape)))
+
+
 class TestBatchnorm:
     def test_idempotent_on_normalized_batch(self, rng):
         x = rng.standard_normal((64, 4))
@@ -643,14 +658,6 @@ class TestAccumulateGrad:
         assert not np.shares_memory(a.grad, out.grad)
         assert not np.shares_memory(b.grad, out.grad)
         assert np.array_equal(a.grad, out.grad) and np.array_equal(b.grad, out.grad)
-
-    def test_add_rowvec_first_gradient_is_a_copy(self, rng):
-        x = T.leaf(rng.standard_normal((3, 2)), needs_grad=True)
-        b = T.leaf(rng.standard_normal(2), needs_grad=True)
-        out = T.add_rowvec(x, b)
-        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 2))))))
-        assert not np.shares_memory(x.grad, out.grad)
-        assert np.array_equal(x.grad, out.grad)
 
     def test_reshape_first_gradient_is_a_copy(self, rng):
         p = T.leaf(rng.standard_normal((2, 6)), needs_grad=True)
