@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
+from .analysis import FAMILY_NAMES
 from .errors import ConfigurationError
 from .model import ModelConfig
 
@@ -56,8 +57,7 @@ class RunConfig:
     seed: int = _setting("train.seed", "int", 0)
     out_dir: str = _setting("train.out_dir", "str", "out")
     samples: int = _setting("analyze.samples", "int", 10000)
-    families: tuple = _setting("analyze.families", "strs",
-                               ("Rot+", "x+", "y+", "Rot-", "x-", "y-"))
+    families: tuple = _setting("analyze.families", "strs", FAMILY_NAMES)
     dimensions: tuple = _setting("analyze.dimensions", "ints", ())
 
     def resolved_data_dir(self):

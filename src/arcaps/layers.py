@@ -20,29 +20,6 @@ BN_MOMENTUM = 0.9
 KEEP_PROB = 0.5
 
 
-def squash(vec):
-    """Classic capsule nonlinearity: shrink the norm into [0,1), keep direction.
-
-    out = (||v||^2 / (1 + ||v||^2)) * v / ||v||, with squash(0) = 0.
-    Accepts a 1-d numpy vector; this is a reference activation used for
-    property contrast, not a graph op.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return np.zeros_like(vec)
-    return (norm * norm / (1.0 + norm * norm)) * vec / norm
-
-
-def squash_exp(vec):
-    """Exponential squash variant: out = (1 - exp(-||v||)) * v / ||v||."""
-    vec = np.asarray(vec, dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return np.zeros_like(vec)
-    return (1.0 - np.exp(-norm)) * vec / norm
-
-
 def uniform_init(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)

@@ -49,9 +49,6 @@ class ParameterStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def count_trainable(self):
-        return sum(t.data.size for _, t in self.trainable_items())
-
     def state_arrays(self):
         """name -> raw array for every entry, in insertion order."""
         return {n: t.data for n, t in self._params.items()}

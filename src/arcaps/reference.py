@@ -158,3 +158,26 @@ def jacobi_eigh(a, tol=1e-12, max_sweeps=100):
                 v = v @ rot
     order = np.argsort(np.diag(a))[::-1]
     return np.diag(a)[order], v[:, order]
+
+
+def squash(vec):
+    """Classic capsule nonlinearity: shrink the norm into [0,1), keep direction.
+
+    out = (||v||^2 / (1 + ||v||^2)) * v / ||v||, with squash(0) = 0.
+    Accepts a 1-d numpy vector; this is a reference activation used for
+    property contrast, not a graph op.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        return np.zeros_like(vec)
+    return (norm * norm / (1.0 + norm * norm)) * vec / norm
+
+
+def squash_exp(vec):
+    """Exponential squash variant: out = (1 - exp(-||v||)) * v / ||v||."""
+    vec = np.asarray(vec, dtype=np.float64)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        return np.zeros_like(vec)
+    return (1.0 - np.exp(-norm)) * vec / norm

@@ -2,7 +2,9 @@
 
 Runs the same independent checks the test suite relies on, packaged as a
 CLI subcommand so a deployed build can prove its numerics in seconds. All
-gradient checks run in float64.
+gradient checks run in float64. The graph references that the model
+never builds live here too: batchnorm and stem_composition, the
+conv2d -> batchnorm -> relu chain that conv_bn_relu fuses.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ import numpy as np
 
 from . import reference, tensor as T
 from .analysis import align_vector, relative_ratios
-from .errors import ComputationError
+from .errors import ComputationError, ConfigurationError
 from .gradcheck import check_gradients, numerical_gradient, relative_error
-from .layers import squash, squash_exp
 from .model import ArCapsNet, ModelConfig
 from .optim import ParameterStore, RmspropState, rmsprop_step
 
@@ -32,97 +33,80 @@ def _op_gradient_checks():
     for stride in (1, 2):
         for padding in ("same", "valid"):
             checks.append((f"conv2d k=3 stride={stride} {padding}", [x, k, b],
-                           lambda ts, s=stride, p=padding: T.sum_all(
-                               T.mul(T.conv2d(ts[0], ts[1], ts[2], s, p),
-                                     T.leaf(_marker((2, _co(5, 3, s, p), _co(5, 3, s, p), 3))))),
-                           ))
+                           lambda ts, s=stride, p=padding: _weighted_sum(
+                               T.conv2d(ts[0], ts[1], ts[2], s, p))))
 
     caps = rng.standard_normal((2, 3, 3, 4, 3))
     wgt = rng.standard_normal((3, 4, 5)) * 0.5
     cb = rng.standard_normal((3, 5)) * 0.1
     checks.append(("channel_affine", [caps, wgt, cb],
-                   lambda ts: T.sum_all(T.mul(T.channel_affine(ts[0], ts[1], ts[2]),
-                                              T.leaf(_marker((2, 3, 3, 5, 3)))))))
+                   lambda ts: _weighted_sum(T.channel_affine(ts[0], ts[1], ts[2]))))
 
     # (B, W, H, K, M) = (2, 2, 3, 4, 3) patches routed to N=2 channels of E=3
     cols = rng.standard_normal((2, 2, 3, 4, 3))
     tw = rng.standard_normal((3, 4, 6)) * 0.5
     tref = rng.standard_normal((2, 3, 3))
     checks.append(("transform_route 1x1 valid", [cols, tw, tref],
-                   lambda ts: T.sum_all(T.mul(
-                       T.transform_route(ts[0], ts[1], ts[2], (1, 1), 1, "valid"),
-                       T.leaf(_marker((2, 2, 3, 3, 2)))))))
+                   lambda ts: _weighted_sum(
+                       T.transform_route(ts[0], ts[1], ts[2], (1, 1), 1, "valid"))))
 
     z = rng.standard_normal((3, 4)) * 2.0
-    checks.append(("tanh", [z], lambda ts: T.sum_all(
-        T.mul(T.tanh(ts[0]), T.leaf(_marker((3, 4)))))))
-    checks.append(("sigmoid", [z], lambda ts: T.sum_all(
-        T.mul(T.sigmoid(ts[0]), T.leaf(_marker((3, 4)))))))
+    checks.append(("tanh", [z], lambda ts: _weighted_sum(T.tanh(ts[0]))))
+    checks.append(("sigmoid", [z], lambda ts: _weighted_sum(T.sigmoid(ts[0]))))
     zr = z + 3.0  # keep clear of the relu kink for finite differences
-    checks.append(("relu", [zr], lambda ts: T.sum_all(
-        T.mul(T.relu(ts[0]), T.leaf(_marker((3, 4)))))))
-    checks.append(("add/mul/affine", [z, rng.standard_normal((3, 4))],
-                   lambda ts: T.sum_all(T.mul(T.add(T.affine(ts[0], 1.7, 0.3), ts[1]), ts[1]))))
+    checks.append(("relu", [zr], lambda ts: _weighted_sum(T.relu(ts[0]))))
+    # ts[1] reaches the loss along two paths, as the scores do in the margin loss
+    checks.append(("add/affine", [z, rng.standard_normal((3, 4))],
+                   lambda ts: _weighted_sum(
+                       T.add(T.add(T.affine(ts[0], 1.7, 0.3), ts[1]), T.square(ts[1])))))
 
     xb = rng.standard_normal((6, 3, 3, 4))
     gamma = 1.0 + 0.1 * rng.standard_normal(4)
     beta = 0.1 * rng.standard_normal(4)
     checks.append(("batchnorm train", [xb, gamma, beta],
-                   lambda ts: T.sum_all(T.mul(
-                       T.batchnorm(ts[0], ts[1], ts[2], None, None, True)[0],
-                       T.leaf(_marker((6, 3, 3, 4)))))))
+                   lambda ts: _weighted_sum(batchnorm(ts[0], ts[1], ts[2], None, None, True)[0])))
     checks.append(("batchnorm infer", [xb, gamma, beta],
-                   lambda ts: T.sum_all(T.mul(
-                       T.batchnorm(ts[0], ts[1], ts[2],
-                                   np.zeros(4), np.ones(4), False)[0],
-                       T.leaf(_marker((6, 3, 3, 4)))))))
+                   lambda ts: _weighted_sum(batchnorm(ts[0], ts[1], ts[2],
+                                                      np.zeros(4), np.ones(4), False)[0])))
 
     for train in (True, False):
         arrays, stats = stem_probe(rng, (2, 5, 5, 2), 3, train)
         checks.append((f"conv_bn_relu {'train' if train else 'infer'}", arrays,
-                       lambda ts, tr=train, st=stats: T.sum_all(T.mul(
-                           T.conv_bn_relu(*ts, *st, tr)[0],
-                           T.leaf(_marker((2, 5, 5, 3)))))))
+                       lambda ts, tr=train, st=stats: _weighted_sum(
+                           T.conv_bn_relu(*ts, *st, tr)[0])))
 
-    def dropout_loss(ts):
-        return T.sum_all(T.mul(T.dropout(ts[0], 0.6, True, _rng(77)),
-                               T.leaf(_marker((4, 5)))))
-
-    checks.append(("dropout fixed-mask", [rng.standard_normal((4, 5))], dropout_loss))
+    checks.append(("dropout fixed-mask", [rng.standard_normal((4, 5))],
+                   lambda ts: _weighted_sum(T.dropout(ts[0], 0.6, True, _rng(77)))))
 
     m1 = rng.standard_normal((3, 4))
     m2 = rng.standard_normal((4, 2))
     bias = rng.standard_normal(2)
     checks.append(("matmul+bias", [m1, m2, bias],
-                   lambda ts: T.sum_all(T.mul(T.matmul(ts[0], ts[1], ts[2]),
-                                              T.leaf(_marker((3, 2)))))))
+                   lambda ts: _weighted_sum(T.matmul(ts[0], ts[1], ts[2]))))
 
     cv = rng.standard_normal((3, 4, 2)) + 0.5
-    checks.append(("capsule_norm", [cv],
-                   lambda ts: T.sum_all(T.mul(T.capsule_norm(ts[0]),
-                                              T.leaf(_marker((3, 2)))))))
+    checks.append(("capsule_norm", [cv], lambda ts: _weighted_sum(T.capsule_norm(ts[0]))))
 
     # (1, 4, 4, 3, 2) capsules, 3x3 patches at stride 2, to N=2 channels of E=3
     caps5 = rng.standard_normal((1, 4, 4, 3, 2))
     cw = rng.standard_normal((2, 27, 6)) * 0.3
     cref = rng.standard_normal((2, 3, 2))
     checks.append(("transform_route 3x3 stride=2 same", [caps5, cw, cref],
-                   lambda ts: T.sum_all(T.mul(
-                       T.transform_route(ts[0], ts[1], ts[2], (3, 3), 2, "same"),
-                       T.leaf(_marker((1, 2, 2, 3, 2)))))))
+                   lambda ts: _weighted_sum(
+                       T.transform_route(ts[0], ts[1], ts[2], (3, 3), 2, "same"))))
     return checks
-
-
-def _co(size, k, stride, padding):
-    if padding == "same":
-        return -(-size // stride)
-    return (size - k) // stride + 1
 
 
 def _marker(shape):
     """Deterministic weighting so sum-based losses see every output element."""
     rng = np.random.default_rng(np.random.SeedSequence([0x3A6C, *shape]))
     return rng.standard_normal(shape)
+
+
+def _weighted_sum(out):
+    """sum(out * _marker(out.shape)): a scalar loss that weights every output
+    element differently."""
+    return T.sum_all(T.scale_by(out, _marker(out.shape)))
 
 
 def stem_probe(rng, shape, cout, train, eps=1e-5):
@@ -150,11 +134,71 @@ def stem_probe(rng, shape, cout, train, eps=1e-5):
     return [x, kernel, gamma, beta], stats
 
 
+def batchnorm(x, gamma, beta, running_mean, running_var, train, eps=1e-5):
+    """Per-channel batch normalization over the trailing axis, as a graph op:
+    the normalization of stem_composition, the reference of conv_bn_relu.
+
+    Train mode normalizes with the batch statistics (and the gradient flows
+    through them); infer mode normalizes with the supplied running
+    statistics. The caller owns updating the running statistics from the
+    returned batch statistics.
+
+    Returns (out, batch_mean, batch_var); the statistics are None in infer
+    mode.
+    """
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ConfigurationError(
+            f"batchnorm() parameter extents {gamma.shape}/{beta.shape} do not "
+            f"match channel count {c}"
+        )
+    axes = tuple(range(x.data.ndim - 1))
+    if train:
+        mu = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x.data - mu) * inv_std
+
+        def rule(node):
+            g = node.grad
+            if gamma.needs_grad:
+                gamma.accumulate_grad((g * xhat).sum(axis=axes))
+            if beta.needs_grad:
+                beta.accumulate_grad(g.sum(axis=axes))
+            if x.needs_grad:
+                gxhat = g * gamma.data
+                # closed-form gradient through the batch statistics
+                t1 = gxhat.mean(axis=axes)
+                t2 = (gxhat * xhat).mean(axis=axes)
+                x.accumulate_grad(inv_std * (gxhat - t1 - xhat * t2))
+
+        out = T.Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), rule)
+        return out, mu, var
+
+    # one per-channel scale and shift: out = x * s + t
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    s = gamma.data * inv_std
+    t = beta.data - running_mean * s
+
+    def rule(node):
+        g = node.grad
+        if gamma.needs_grad:
+            xhat = (x.data - running_mean) * inv_std
+            gamma.accumulate_grad((g * xhat).sum(axis=axes))
+        if beta.needs_grad:
+            beta.accumulate_grad(g.sum(axis=axes))
+        if x.needs_grad:
+            x.accumulate_grad(g * s)
+
+    out = T.Tensor(x.data * s + t, (x, gamma, beta), rule)
+    return out, None, None
+
+
 def stem_composition(x, kernel, gamma, beta, running_mean, running_var, train):
     """conv2d (no bias) -> batchnorm -> relu: the reference composition of
     conv_bn_relu, with the same (out, batch_mean, batch_var) result."""
-    bn, mean, var = T.batchnorm(T.conv2d(x, kernel, None, 1, "same"), gamma, beta,
-                                running_mean, running_var, train)
+    bn, mean, var = batchnorm(T.conv2d(x, kernel, None, 1, "same"), gamma, beta,
+                              running_mean, running_var, train)
     return T.relu(bn), mean, var
 
 
@@ -163,12 +207,11 @@ def stem_oracle_gap(arrays, stats, train, x_grad=True):
     (stem_composition: conv2d with no bias, batchnorm, relu) over the
     output, the batch statistics and the gradients of x (when x_grad),
     kernel, gamma and beta, each relative to max(1, max |reference|)."""
-    marker = _marker(arrays[0].shape[:3] + (arrays[1].shape[3],))
     results = []
     for op in (T.conv_bn_relu, stem_composition):
         leaves = [T.leaf(a, needs_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
         out, mean, var = op(*leaves, *stats, train)
-        T.backward(T.sum_all(T.mul(out, T.leaf(marker))))
+        T.backward(_weighted_sum(out))
         results.append([out.data, mean, var] + [t.grad for t in leaves[0 if x_grad else 1:]])
     worst = 0.0
     for got, want in zip(*results):
@@ -365,7 +408,7 @@ def _blocked_ops_check():
             sum(out * marker)."""
             leaves = [T.leaf(arrays[0][lo:hi], True)] + [T.leaf(a, True) for a in arrays[1:]]
             out = op(*leaves)
-            T.backward(T.sum_all(T.mul(out, T.leaf(marker[lo:hi]))))
+            T.backward(T.sum_all(T.scale_by(out, marker[lo:hi])))
             return [out.data] + [t.grad for t in leaves]
 
         blocked, alone = run(0, 3), [run(i, i + 1) for i in range(3)]
@@ -393,10 +436,10 @@ def _blocked_ops_check():
 
 
 def _scalar_examples():
-    s = squash(np.array([3.0, 4.0]))
+    s = reference.squash(np.array([3.0, 4.0]))
     if np.max(np.abs(s - np.array([0.57692308, 0.76923077]))) > 1e-5:
         raise ComputationError(f"squash(3,4) = {s}")
-    s = squash_exp(np.array([3.0, 4.0]))
+    s = reference.squash_exp(np.array([3.0, 4.0]))
     if np.max(np.abs(s - np.array([0.59595654, 0.79460872]))) > 1e-5:
         raise ComputationError(f"squash_exp(3,4) = {s}")
     soft = routing_weights(np.array([[[[1.0, 2.0, 3.0]]]]))[0, 0, 0]

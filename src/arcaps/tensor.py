@@ -231,19 +231,6 @@ def add(a, b):
     return Tensor(a.data + b.data, (a, b), rule)
 
 
-def mul(a, b):
-    if a.shape != b.shape:
-        raise ConfigurationError(f"mul() shape mismatch: {a.shape} vs {b.shape}")
-
-    def rule(out):
-        if a.needs_grad:
-            a.accumulate_grad(out.grad * b.data)
-        if b.needs_grad:
-            b.accumulate_grad(out.grad * a.data)
-
-    return Tensor(a.data * b.data, (a, b), rule)
-
-
 def affine(x, scale=1.0, shift=0.0):
     """scale * x + shift with python-scalar coefficients."""
 
@@ -557,7 +544,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
 
 def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1e-5):
     """relu(batchnorm(conv2d(x, kernel, None, 1, "same"))) as one op, with
-    the semantics of that reference composition.
+    the semantics of that reference composition (selftest.stem_composition).
 
     The convolution has no bias: the batchnorm would subtract it again, and
     beta is the shift. It runs block by block as in conv2d (a _WindowGemm).
@@ -571,9 +558,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     With a graph, the node holds only its output and the conv output z; the
     rule rebuilds the normalized z block by block, takes the relu mask from
     out > 0 and feeds each block's gradient of z straight into the conv
-    backward. Returns (out, batch_mean, batch_var) like batchnorm: the
-    statistics are None in infer mode, and the caller updates the running
-    statistics.
+    backward. Returns (out, batch_mean, batch_var): the statistics are None
+    in infer mode, and the caller updates the running statistics.
     """
     _check_conv("conv_bn_relu", x, kernel, None)
     c = kernel.shape[3]
@@ -791,66 +777,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
 
 
 # ---------------------------------------------------------------------------
-# normalization / regularization
-
-
-def batchnorm(x, gamma, beta, running_mean, running_var, train, eps=1e-5):
-    """Per-channel batch normalization over the trailing axis.
-
-    Train mode normalizes with the batch statistics (and the gradient flows
-    through them); infer mode normalizes with the supplied running
-    statistics. The caller owns updating the running statistics from the
-    returned batch statistics.
-
-    Returns (out, batch_mean, batch_var); the statistics are None in infer
-    mode.
-    """
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ConfigurationError(
-            f"batchnorm() parameter extents {gamma.shape}/{beta.shape} do not "
-            f"match channel count {c}"
-        )
-    axes = tuple(range(x.data.ndim - 1))
-    if train:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv_std
-
-        def rule(node):
-            g = node.grad
-            if gamma.needs_grad:
-                gamma.accumulate_grad((g * xhat).sum(axis=axes))
-            if beta.needs_grad:
-                beta.accumulate_grad(g.sum(axis=axes))
-            if x.needs_grad:
-                gxhat = g * gamma.data
-                # closed-form gradient through the batch statistics
-                t1 = gxhat.mean(axis=axes)
-                t2 = (gxhat * xhat).mean(axis=axes)
-                x.accumulate_grad(inv_std * (gxhat - t1 - xhat * t2))
-
-        out = Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), rule)
-        return out, mu, var
-
-    # one per-channel scale and shift: out = x * s + t
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    s = gamma.data * inv_std
-    t = beta.data - running_mean * s
-
-    def rule(node):
-        g = node.grad
-        if gamma.needs_grad:
-            xhat = (x.data - running_mean) * inv_std
-            gamma.accumulate_grad((g * xhat).sum(axis=axes))
-        if beta.needs_grad:
-            beta.accumulate_grad(g.sum(axis=axes))
-        if x.needs_grad:
-            x.accumulate_grad(g * s)
-
-    out = Tensor(x.data * s + t, (x, gamma, beta), rule)
-    return out, None, None
+# regularization
 
 
 def dropout(x, keep_prob, train, rng=None):

@@ -17,7 +17,7 @@ from arcaps.analysis import (alignment_experiment, perturb_and_decode,
                              perturbation_offsets, random_baseline)
 from arcaps.config import RunConfig
 from arcaps.data import load_idx
-from arcaps.layers import squash
+from arcaps.reference import squash
 from arcaps.model import ArCapsNet, ModelConfig, count_parameters
 from arcaps.optim import ParameterStore
 from arcaps.selftest import routing_weights

@@ -11,7 +11,7 @@ import pytest
 
 from arcaps import selftest, tensor as T
 from arcaps.gradcheck import check_gradients
-from arcaps.selftest import softmax_probe, stem_probe
+from arcaps.selftest import batchnorm, softmax_probe, stem_probe
 from conftest import blocks_of_two
 
 SEEDS = range(5)
@@ -24,8 +24,8 @@ PATCHES_ARE_INPUT = ((1, 1), 1, "valid")
 def _frozen_weight(rng, forward, arrays):
     """Fix a random weighting of the op output so the loss is a pure function."""
     probe = forward([T.leaf(a) for a in arrays])
-    marker = T.leaf(rng.standard_normal(probe.shape))
-    return lambda ts: T.sum_all(T.mul(forward(ts), marker))
+    marker = rng.standard_normal(probe.shape)
+    return lambda ts: T.sum_all(T.scale_by(forward(ts), marker))
 
 
 CONV_GRADIENT_CASES = [(1, "same", 2), (2, "same", 2), (1, "valid", 2), (2, "valid", 2),
@@ -169,9 +169,10 @@ def test_tanh_gradient_matches_closed_form(seed):
 def test_add_mul_affine_gradients(seed):
     rng = np.random.default_rng(60 + seed)
     a, b = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
+    # b reaches the loss along two paths, one of them its product with itself
     check_gradients(
-        lambda ts: T.sum_all(T.mul(T.add(T.affine(ts[0], 1.3, -0.2), ts[1]), ts[1])),
-        [a, b])
+        _frozen_weight(rng, lambda ts: T.add(T.add(T.affine(ts[0], 1.3, -0.2), ts[1]),
+                                             T.square(ts[1])), [a, b]), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -185,7 +186,7 @@ def test_batchnorm_gradients(seed, train):
     run_m, run_v = rng.standard_normal(c) * 0.1, 1 + 0.1 * rng.random(c)
     arrays = [x, gamma, beta]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.batchnorm(ts[0], ts[1], ts[2], run_m, run_v, train)[0], arrays), arrays)
+        _frozen_weight(rng, lambda ts: batchnorm(ts[0], ts[1], ts[2], run_m, run_v, train)[0], arrays), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -234,8 +235,8 @@ def test_capsule_norm_gradients(seed):
 def test_reshape_gradients(seed):
     rng = np.random.default_rng(120 + seed)
     a = rng.standard_normal((2, 6))
-    marker = T.leaf(rng.standard_normal((3, 4)))
-    check_gradients(lambda ts: T.sum_all(T.mul(T.reshape(ts[0], (3, 4)), marker)), [a])
+    marker = rng.standard_normal((3, 4))
+    check_gradients(lambda ts: T.sum_all(T.scale_by(T.reshape(ts[0], (3, 4)), marker)), [a])
 
 
 def test_end_to_end_tiny_model():

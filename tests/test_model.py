@@ -1,5 +1,6 @@
 """Model assembly, losses, parameter counting, checkpoint round-trips."""
 
+import inspect
 import re
 import tracemalloc
 import weakref
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from arcaps import checkpoint, layers, tensor as T
+from arcaps.analysis import alignment_experiment
+from arcaps.data import Dataset
 from arcaps.errors import ConfigurationError, InputDataError
 from arcaps.model import (ArCapsNet, ModelConfig, count_parameters, margin_loss,
                           normalized_length, reconstruction_loss)
-from arcaps.train import load_model, save_model
+from arcaps.train import evaluate, load_model, save_model
 from arcaps.config import RunConfig
 from conftest import blocks_of_two, corrupt_headers
 
@@ -222,7 +225,7 @@ class TestCountParameters:
     def test_arithmetic_count_matches_built_store(self, cfg):
         total, _ = count_parameters(cfg)
         net = ArCapsNet(cfg, seed=0)
-        assert net.store.count_trainable() == total
+        assert sum(t.data.size for _, t in net.store.trainable_items()) == total
 
 
 class TestCheckpoint:
@@ -434,6 +437,37 @@ def test_default_train_step_builds_45_nodes(rng, node_log):
     node_log.clear()
     net.loss(images, np.array([3, 7]), train=True, rng=np.random.default_rng(0))
     assert len(node_log) == 45
+
+
+def test_tensor_exports_exactly_the_ops_the_model_builds(rng, monkeypatch):
+    # every public function of arcaps.tensor but leaf, topo_order and
+    # backward (the ops perfbench's recorder wraps) must build a node in a
+    # default train step, an evaluate batch or an align sample: no op that
+    # only tests use, and no public helper that returns no node
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_") and name not in ("leaf", "topo_order", "backward")}
+    built = set()
+
+    def recording(name, fn):
+        def op(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out[0] if isinstance(out, tuple) else out, T.Tensor):
+                built.add(name)
+            return out
+        return op
+
+    for name in public:
+        monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
+    net = ArCapsNet(ModelConfig(), seed=0)
+    images = rng.random((2, 28, 28, 1), dtype=np.float32)
+    labels = np.array([3, 7])
+    total, *_ = net.loss(images, labels, train=True, rng=np.random.default_rng(0))
+    T.backward(total)
+    dataset = Dataset(images, labels, 10)
+    evaluate(net, dataset)
+    alignment_experiment(net, dataset, sample_count=1)
+    assert built == public
 
 
 def test_default_model_routes_fullycaps_in_one_block(rng, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.errors import ComputationError, ConfigurationError
-from arcaps.selftest import (oracle_banks, routing_weights, stem_composition,
+from arcaps.selftest import (batchnorm, oracle_banks, routing_weights, stem_composition,
                              stem_oracle_gap, stem_probe)
 from conftest import blocks_of_two, routing_logits
 
@@ -59,10 +59,10 @@ class TestConv2d:
         x = T.leaf(rng.standard_normal((batch, w, w, cin)).astype(np.float32), needs_grad=True)
         kern = T.leaf(rng.standard_normal((k, k, cin, cout)).astype(np.float32), needs_grad=True)
         bias = T.leaf(np.zeros(cout, dtype=np.float32), needs_grad=True)
-        marker = T.leaf(rng.standard_normal((batch, w, w, cout)).astype(np.float32))
+        marker = rng.standard_normal((batch, w, w, cout)).astype(np.float32)
         tracemalloc.start()
         try:
-            T.backward(T.sum_all(T.mul(T.conv2d(x, kern, bias, 1, "same"), marker)))
+            T.backward(T.sum_all(T.scale_by(T.conv2d(x, kern, bias, 1, "same"), marker)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,12 +195,12 @@ class TestBlockedOps:
         # straight into x's gradient (unpadded windows, overlapping in the
         # stride-1 "valid" conv)
         x, op = _input_gradient_case(case, rng)
-        marker = T.leaf(rng.standard_normal(op(T.leaf(x)).shape))
+        marker = rng.standard_normal(op(T.leaf(x)).shape)
         walked = blocks_of_two(monkeypatch)
 
         def x_grad(*terms):
             xt = T.leaf(x, needs_grad=True)
-            losses = [T.sum_all(T.mul(op(xt), marker)) if term == "op" else
+            losses = [T.sum_all(T.scale_by(op(xt), marker)) if term == "op" else
                       T.sum_all(T.square(xt)) for term in terms]
             T.backward(T.add(*losses) if len(losses) == 2 else losses[0])
             return xt.grad
@@ -299,12 +299,12 @@ class TestBlockedOps:
         caps = T.leaf(rng.standard_normal((batch, w, w, d, m)).astype(np.float32), True)
         weight = T.leaf(rng.standard_normal((m, k, n * e)).astype(np.float32) * 0.1, True)
         ref = T.leaf(rng.standard_normal((n, e, m)).astype(np.float32), True)
-        marker = T.leaf(rng.standard_normal((batch, w, w, e, n)).astype(np.float32))
+        marker = rng.standard_normal((batch, w, w, e, n)).astype(np.float32)
         tracemalloc.start()
         try:
             out = T.transform_route(caps, weight, ref, (3, 3), 1, "same")
             kept = tracemalloc.get_traced_memory()[0]
-            loss = T.sum_all(T.mul(out, marker))
+            loss = T.sum_all(T.scale_by(out, marker))
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             T.backward(loss)
@@ -435,21 +435,21 @@ class TestBatchnorm:
     def test_idempotent_on_normalized_batch(self, rng):
         x = rng.standard_normal((64, 4))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        out, _, _ = T.batchnorm(T.leaf(x), T.leaf(np.ones(4)), T.leaf(np.zeros(4)),
-                                None, None, True)
+        out, _, _ = batchnorm(T.leaf(x), T.leaf(np.ones(4)), T.leaf(np.zeros(4)),
+                              None, None, True)
         assert np.allclose(out.data, x, atol=1e-3)
 
     def test_zero_gamma_gives_constant_beta(self, rng):
         x = rng.standard_normal((8, 3, 3, 2))
-        out, _, _ = T.batchnorm(T.leaf(x), T.leaf(np.zeros(2)),
-                                T.leaf(np.full(2, 5.0)), None, None, True)
+        out, _, _ = batchnorm(T.leaf(x), T.leaf(np.zeros(2)),
+                              T.leaf(np.full(2, 5.0)), None, None, True)
         assert np.allclose(out.data, 5.0, atol=0)
 
     def test_train_mode_normalizes(self, rng):
         for _ in range(3):
             x = rng.standard_normal((32, 4, 4, 3)) * 3 + 1.5
-            out, mu, var = T.batchnorm(T.leaf(x), T.leaf(np.ones(3)),
-                                       T.leaf(np.zeros(3)), None, None, True)
+            out, mu, var = batchnorm(T.leaf(x), T.leaf(np.ones(3)),
+                                     T.leaf(np.zeros(3)), None, None, True)
             got = out.data.reshape(-1, 3)
             assert np.allclose(got.mean(axis=0), 0.0, atol=1e-5)
             assert np.allclose(got.var(axis=0), 1.0, atol=1e-3)
@@ -457,8 +457,8 @@ class TestBatchnorm:
 
     def test_infer_uses_running_stats(self, rng):
         x = rng.standard_normal((4, 2))
-        out, mu, var = T.batchnorm(T.leaf(x), T.leaf(np.ones(2)), T.leaf(np.zeros(2)),
-                                   np.zeros(2), np.ones(2), False)
+        out, mu, var = batchnorm(T.leaf(x), T.leaf(np.ones(2)), T.leaf(np.zeros(2)),
+                                 np.zeros(2), np.ones(2), False)
         assert mu is None and var is None
         assert np.allclose(out.data, x / np.sqrt(1 + 1e-5), atol=1e-7)
 
@@ -560,13 +560,6 @@ class TestBackward:
         T.backward(T.sum_all(p))
         assert np.array_equal(p.grad, np.ones((3, 4)))
 
-    def test_product_rule(self, rng):
-        pv, qv = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
-        p, q = T.leaf(pv, needs_grad=True), T.leaf(qv, needs_grad=True)
-        T.backward(T.sum_all(T.mul(p, q)))
-        assert np.allclose(p.grad, qv, atol=1e-7)
-        assert np.allclose(q.grad, pv, atol=1e-7)
-
     def test_scalar_loss_required(self, rng):
         p = T.leaf(rng.standard_normal(3), needs_grad=True)
         with pytest.raises(ConfigurationError):
@@ -653,7 +646,7 @@ class TestAccumulateGrad:
         a = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         b = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         out = T.add(a, b)
-        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 4))))))
+        T.backward(T.sum_all(T.scale_by(out, rng.standard_normal((3, 4)))))
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, out.grad)
         assert not np.shares_memory(b.grad, out.grad)
@@ -662,7 +655,7 @@ class TestAccumulateGrad:
     def test_reshape_first_gradient_is_a_copy(self, rng):
         p = T.leaf(rng.standard_normal((2, 6)), needs_grad=True)
         out = T.reshape(p, (3, 4))
-        T.backward(T.sum_all(T.mul(out, T.leaf(rng.standard_normal((3, 4))))))
+        T.backward(T.sum_all(T.scale_by(out, rng.standard_normal((3, 4)))))
         assert not np.shares_memory(p.grad, out.grad)
         assert np.array_equal(p.grad, out.grad.reshape(2, 6))
 
@@ -682,7 +675,7 @@ class TestNoGrad:
     def test_nodes_keep_no_parents_and_no_rule(self, rng):
         p = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         with T.no_grad():
-            hidden = T.tanh(T.mul(p, p))
+            hidden = T.tanh(T.square(p))
             out = T.sum_all(hidden)
         for node in (hidden, out):
             assert node.parents == ()
