@@ -29,6 +29,19 @@ the same blocks and extracts each block's operand again, so a graph keeps
 only what costs a GEMM to rebuild: transform_route's u and routing
 weights a. Each op adds only its own epilogue and gradient step.
 
+The blocks of a walk may run on worker threads (``_walk``), one per CPU
+that BLAS leaves idle: the usable CPUs over the BLAS threads that
+OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS) sets. With neither set, BLAS
+already uses every CPU and the blocks run inline on the calling thread;
+so does a walk of one block. A worker copies its block's patches, runs
+its GEMMs, its op's block-local epilogue and its input-gradient scatter,
+into buffers that the calling thread allocated, one set per worker. The
+calling thread takes the blocks' results in block order and does every
+step that depends on it (batchnorm's statistics, each weight, bias and
+reference gradient), so outputs and gradients are the same bits however
+many workers run. The pool starts with the first walk that uses it; a
+forked child starts its own.
+
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
 finite-difference gradient checks run (32-bit noise would drown the
@@ -39,6 +52,10 @@ capsule-dim, channel).
 """
 
 from __future__ import annotations
+
+import math
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -120,11 +137,17 @@ class Tensor:
             self._grad = np.zeros_like(self.data)
         return self._grad
 
-    def accumulate_grad(self, value):
+    def accumulate_grad(self, value, owned=False):
+        """Add ``value`` to the gradient. The first gradient is copied, as
+        rules pass their own gradient (or a view of it) on, unless the caller
+        says ``owned``: ``value`` is a fresh array that nothing else holds,
+        kept as it is when it has this node's shape and dtype."""
         if self._grad is None:
-            # a copy: rules pass their own gradient (or a view of it) on
-            self._grad = np.empty_like(self.data)
-            self._grad[...] = value
+            if owned and value.shape == self.data.shape and value.dtype == self.data.dtype:
+                self._grad = value
+            else:
+                self._grad = np.empty_like(self.data)
+                self._grad[...] = value
         else:
             self._grad += value
 
@@ -368,6 +391,124 @@ def _image_blocks(batch, bytes_per_image, weight_bytes=0):
     return [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
+def _idle_cpus():
+    """The CPUs that BLAS leaves idle, as worker threads for a blocked walk:
+    the usable CPUs over the BLAS threads that the environment sets
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), and at least 1. With
+    neither set, BLAS spreads each GEMM over every CPU, so it is 1."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas = max(int(blas), 1)
+    except (TypeError, ValueError):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max((cpus or 1) // blas, 1)
+
+
+# worker threads of a blocked walk, and the pool that runs them: it starts
+# with the first walk that has blocks for two workers
+_WORKERS = _idle_cpus()
+_pool = None
+
+
+def _executor():
+    """The walks' thread pool, started on first use."""
+    global _pool
+    if _pool is None:
+        # imported here: at module load it would add to every start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="arcaps-walk")
+    return _pool
+
+
+def _forget_pool():
+    """In a forked child: the pool's threads stayed in the parent, so the
+    child's first threaded walk starts a pool of its own."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slots(blocks):
+    """How many of ``blocks`` a walk runs at once, each with its own set of
+    buffers: one per worker, and 1 (inline, no pool) for one worker or one
+    block."""
+    return min(_WORKERS, len(blocks))
+
+
+def _walk(blocks, work, fold=None):
+    """Run work(slot, lo, hi) for each (lo, hi) of ``blocks`` and hand what
+    it returns to fold, when given, on the calling thread in block order.
+
+    With one slot (see _slots) the blocks run inline. With more, each slot
+    is one pool task that takes the next block in block order until none is
+    left, so a slot runs one block at a time, in the buffers that the
+    caller allocated for it before the walk. The tasks run at most
+    2 * slots blocks ahead of the folds, and a fold may not read a slot's
+    buffers: the slot may be running its next block. The folds keep the
+    block order, so every sum that a fold takes keeps the order of the
+    sequential walk, and its bits. ``work`` builds no node and touches no
+    node state. If a block raises, no further block starts; the walk waits
+    for the blocks still in flight and re-raises the error of the first
+    failing block.
+    """
+    slots = _slots(blocks)
+    if slots == 1:
+        for lo, hi in blocks:
+            part = work(0, lo, hi)
+            if fold is not None:
+                fold(part)
+        return
+    order, lock = iter(range(len(blocks))), threading.Lock()
+    room = threading.Semaphore(2 * slots)  # blocks taken and not yet folded
+    done = [threading.Event() for _ in blocks]
+    results = [None] * len(blocks)
+    stop = False
+
+    def drain(slot):
+        nonlocal stop
+        while True:
+            room.acquire()
+            with lock:
+                i = None if stop else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(slot, *blocks[i]), None
+            except BaseException as exc:
+                results[i] = None, exc
+                stop = True
+            done[i].set()
+
+    pool = _executor()
+    tasks = [pool.submit(drain, slot) for slot in range(slots)]
+    try:
+        for i in range(len(blocks)):
+            done[i].wait()
+            part, exc = results[i]
+            results[i] = None
+            if exc is not None:
+                raise exc
+            if fold is not None:
+                fold(part)
+            room.release()
+    finally:
+        stop = True
+        room.release(slots)  # a task that waits for room wakes and stops
+        for task in tasks:
+            task.exception()
+
+
+def _head(buf, shape):
+    """The first entries of the flat reused buffer ``buf`` as a contiguous
+    array of ``shape``, laid out as a fresh array would be."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
 def _5d(a):
     """A (B, W, H, Cin) array as (B, W, H, Cin, 1); a rank-5 one as it is."""
     return a[..., None] if a.ndim == 4 else a
@@ -385,8 +526,8 @@ class _WindowGemm:
 
     It walks the (kw, kh) windows at ``stride`` and ``padding`` ("same" or
     "valid") of a (B, W, H, D, M) input node in blocks of whole images. Each
-    block is zero-padded into one reused buffer, and its patches are copied
-    channel first into one reused (M, rows, K) operand buffer, K = kw*kh*D,
+    block is zero-padded into a reused buffer, and its patches are copied
+    channel first into a reused (M, rows, K) operand buffer, K = kw*kh*D,
     and multiplied by the (M, K, C) weight node, one GEMM per input channel
     m, plus the bias node (C values per input channel, or None). A
     (B, W, H, Cin) input reads as M = 1, with its (kw, kh, Cin, Cout) kernel
@@ -397,6 +538,11 @@ class _WindowGemm:
     A block holds as many images as _image_blocks fits for their operand
     rows plus their product rows. The backward holds no operand: it
     extracts each block's again. ``parents`` are (x, weight[, bias]).
+
+    Both directions are a _walk: when BLAS leaves CPUs idle, the blocks run
+    on worker threads, each slot with its own set of the reused buffers,
+    and the calling thread adds every sum over blocks in block order, so
+    the bits do not depend on the worker count.
     """
 
     def __init__(self, x, weight, bias, ksize, stride, padding):
@@ -424,82 +570,101 @@ class _WindowGemm:
         """The product rows of images lo..hi (of a block, from its first)."""
         return slice(lo * self.rows, hi * self.rows)
 
-    def operands(self):
-        """Yield each block's (M, rows, K) operand, in one reused buffer,
-        copied from the (M, hi - lo, Wo, Ho, kw, kh, D) patch view of the
-        block (zero-padded first into another reused buffer)."""
-        buf = np.empty((self.m, self.step, self.k), dtype=self.x.dtype)
-        xd = _5d(self.x.data)
-        xp = np.zeros((self.blocks[0][1],) + self.padded, dtype=xd.dtype) if self.pad else None
-        for lo, hi in self.blocks:
-            src = xd[lo:hi]
-            if self.pad:
-                xp[: hi - lo][self.inner] = src
-                src = xp[: hi - lo]
-            s, st = src.strides, self.stride
-            view = as_strided(src, shape=(self.m, hi - lo, self.wo, self.ho, *self.ksize,
-                                          src.shape[3]),
-                              strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
-                              writeable=False)
-            op = buf[:, self.span(0, hi - lo)]
-            np.copyto(op.reshape(view.shape), view)
-            yield op
+    def operand_buffers(self, slots):
+        """Per slot, the reused buffers of operand(): the (M, rows, K)
+        operand and, when the windows pad, the zero-bordered block."""
+        dtype = self.x.data.dtype
+        return [(np.empty((self.m, self.step, self.k), dtype=dtype),
+                 np.zeros((self.blocks[0][1],) + self.padded, dtype=dtype) if self.pad else None)
+                for _ in range(slots)]
 
-    def forward(self, each=None, whole=True):
-        """The product plus bias, block by block: into its rows of a
-        whole-batch (M, B*rows, C) array, or (not ``whole``) into one reused
-        (M, rows, C) block buffer. Returns that array; each(lo, hi, block)
-        runs while the block is in cache."""
-        out = np.empty((self.m, len(self.x.data) * self.rows if whole else self.step, self.c),
-                       dtype=self.dtype)
+    def operand(self, bufs, lo, hi):
+        """The (M, rows, K) operand of images lo..hi in a slot's buffers
+        ``bufs``, copied from the (M, hi - lo, Wo, Ho, kw, kh, D) patch view
+        of the block (zero-padded first into the other buffer)."""
+        buf, xp = bufs
+        src = _5d(self.x.data)[lo:hi]
+        if self.pad:
+            xp[: hi - lo][self.inner] = src
+            src = xp[: hi - lo]
+        s, st = src.strides, self.stride
+        view = as_strided(src, shape=(self.m, hi - lo, self.wo, self.ho, *self.ksize,
+                                      src.shape[3]),
+                          strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
+                          writeable=False)
+        op = buf[:, self.span(0, hi - lo)]
+        np.copyto(op.reshape(view.shape), view)
+        return op
+
+    def forward(self, each=None, fold=None, whole=True):
+        """The product plus bias, block by block in a _walk: into its rows of
+        a whole-batch (M, B*rows, C) array, which it returns, or (not
+        ``whole``) into the slot's reused (M, rows, C) block buffer.
+        each(slot, lo, hi, block) runs on the block's worker while the block
+        is in cache, and ``fold`` takes what it returns."""
+        slots = _slots(self.blocks)
+        ops = self.operand_buffers(slots)
+        rows = len(self.x.data) * self.rows if whole else self.step
+        outs = [np.empty((self.m, rows, self.c), dtype=self.dtype)
+                for _ in range(1 if whole else slots)]
         bias = None if self.bias is None else self.bias.data.reshape(self.m, 1, self.c)
-        for (lo, hi), op in zip(self.blocks, self.operands()):
-            blk = out[:, self.span(lo, hi) if whole else self.span(0, hi - lo)]
-            np.matmul(op, self.w, out=blk)
+
+        def work(slot, lo, hi):
+            blk = outs[0][:, self.span(lo, hi)] if whole else outs[slot][:, self.span(0, hi - lo)]
+            np.matmul(self.operand(ops[slot], lo, hi), self.w, out=blk)
             if bias is not None:
                 blk += bias
-            if each is not None:
-                each(lo, hi, blk)
-        return out
+            return None if each is None else each(slot, lo, hi, blk)
 
-    def backward(self, grad):
-        """Accumulate the weight, bias and input gradients, block by block,
-        from grad(lo, hi), the (M, rows, C) gradient of a block's product.
+        _walk(self.blocks, work, fold)
+        return outs[0] if whole else None
 
-        Each block's weight gradient, from its operand extracted again, and
-        its bias gradient go to their nodes as they are made. The input
-        gradient multiplies into a reused buffer and is scatter-added into
-        the block's images of ``x.grad`` (which is taken at the first
-        scatter, so it is not held beside the first weight gradient's
-        temporaries): one strided add per tap, through one reused padded
-        buffer when the windows pad.
+    def backward(self, grad, dtype, fold=None):
+        """Accumulate the weight, bias and input gradients, block by block in
+        a _walk, from grad(slot, lo, hi): the (M, rows, C) gradient, of
+        ``dtype``, of a block's product, or with ``fold`` a pair (gradient,
+        part) whose part ``fold`` takes.
+
+        A block's worker extracts its operand again for its weight gradient
+        and sums its bias gradient; the calling thread adds both to their
+        nodes in block order. The worker multiplies the input gradient into
+        the slot's operand buffer and scatter-adds it into the block's images
+        of ``x.grad`` (taken before the walk), which no other block touches:
+        one strided add per tap, through the slot's padded buffer when the
+        windows pad.
         """
         x, weight, bias = self.x, self.weight, self.bias
-        ops = self.operands() if weight.needs_grad else None
-        gbuf = gxp = None
+        slots = _slots(self.blocks)
+        ops = self.operand_buffers(slots) if weight.needs_grad else None
+        bias_grad = bias is not None and bias.needs_grad
+        gxd = _5d(x.grad) if x.needs_grad else None
+        if gxd is not None:
+            gx_dtype = np.result_type(dtype, self.w)
+            # the patch gradient goes into the slot's operand buffer, which
+            # the weight gradient has read by then, when the dtypes agree
+            gbufs = ([buf for buf, _ in ops] if ops is not None and ops[0][0].dtype == gx_dtype
+                     else [np.empty((self.m, self.step, self.k), dtype=gx_dtype)
+                           for _ in range(slots)])
+            gxps = [np.empty((self.blocks[0][1],) + self.padded, dtype=gx_dtype)
+                    if self.pad else None for _ in range(slots)]
         st, (kw, kh) = self.stride, self.ksize
         span_w, span_h = st * (self.wo - 1) + 1, st * (self.ho - 1) + 1
-        for lo, hi in self.blocks:
-            g = grad(lo, hi)
-            if weight.needs_grad:
-                weight.accumulate_grad((next(ops).transpose(0, 2, 1) @ g).reshape(weight.shape))
-            if bias is not None and bias.needs_grad:
-                bias.accumulate_grad(g.sum(axis=1).reshape(bias.shape))
-            if not x.needs_grad:
-                continue
-            if gbuf is None:
-                gbuf = np.empty((self.m, self.step, self.k), dtype=np.result_type(g, self.w))
-                if self.pad:
-                    gxp = np.empty((hi - lo,) + self.padded, dtype=gbuf.dtype)
-            gx = gbuf[:, self.span(0, hi - lo)]
+
+        def work(slot, lo, hi):
+            g, part = grad(slot, lo, hi) if fold is not None else (grad(slot, lo, hi), None)
+            wg = None if ops is None else self.operand(ops[slot], lo, hi).transpose(0, 2, 1) @ g
+            bg = g.sum(axis=1) if bias_grad else None
+            if gxd is None:
+                return wg, bg, part
+            gx = gbufs[slot][:, self.span(0, hi - lo)]
             np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
             gcols = np.moveaxis(gx.reshape(self.m, hi - lo, self.wo, self.ho, kw, kh, -1), 0, -1)
             if (kw, kh) != (1, 1):
                 # the scatter runs faster from the patch layout than from
                 # a view that reads m at a large stride
                 gcols = np.ascontiguousarray(gcols)
-            dst = _5d(x.grad)[lo:hi]
-            acc = gxp[: hi - lo] if self.pad else dst
+            dst = gxd[lo:hi]
+            acc = gxps[slot][: hi - lo] if self.pad else dst
             if self.pad:
                 acc.fill(0)
             for i in range(kw):
@@ -507,6 +672,20 @@ class _WindowGemm:
                     acc[:, i:i + span_w:st, j:j + span_h:st] += gcols[:, :, :, i, j]
             if self.pad:
                 dst += acc[self.inner]
+            return wg, bg, part
+
+        def take(parts):
+            wg, bg, part = parts
+            if wg is not None:
+                # each block's product is a fresh array that nothing else
+                # holds: the first becomes the weight's gradient uncopied
+                weight.accumulate_grad(wg.reshape(weight.shape), owned=True)
+            if bg is not None:
+                bias.accumulate_grad(bg.reshape(bias.shape))
+            if fold is not None:
+                fold(part)
+
+        _walk(self.blocks, work, take)
 
 
 def _check_conv(op, x, kernel, bias):
@@ -537,7 +716,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
 
     def rule(node):
         g = node.grad.reshape(1, -1, gemm.c)
-        gemm.backward(lambda lo, hi: g[:, gemm.span(lo, hi)])
+        gemm.backward(lambda slot, lo, hi: g[:, gemm.span(lo, hi)], node.dtype)
 
     return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), gemm.parents, rule)
 
@@ -548,18 +727,20 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
 
     The convolution has no bias: the batchnorm would subtract it again, and
     beta is the shift. It runs block by block as in conv2d (a _WindowGemm).
-    Train mode folds each block's mean and centred sum of squares into the
-    batch statistics while the block is in cache (Chan's parallel update),
-    then writes out = max(z * s + t, 0) with s = gamma / sqrt(var + eps) and
-    t = beta - mean * s. Infer mode applies the running statistics' s and t
-    to each block in cache, the composition's arithmetic, so its outputs
-    equal the composition's bitwise.
+    Train mode takes each block's mean and centred sum of squares while the
+    block is in cache and folds them into the batch statistics in block
+    order (Chan's parallel update), then writes out = max(z * s + t, 0) with
+    s = gamma / sqrt(var + eps) and t = beta - mean * s. Infer mode applies
+    the running statistics' s and t to each block in cache, the
+    composition's arithmetic, so its outputs equal the composition's
+    bitwise.
 
     With a graph, the node holds only its output and the conv output z; the
     rule rebuilds the normalized z block by block, takes the relu mask from
-    out > 0 and feeds each block's gradient of z straight into the conv
-    backward. Returns (out, batch_mean, batch_var): the statistics are None
-    in infer mode, and the caller updates the running statistics.
+    out > 0, sums the blocks' gradient terms in block order and feeds each
+    block's gradient of z straight into the conv backward. Returns (out,
+    batch_mean, batch_var): the statistics are None in infer mode, and the
+    caller updates the running statistics.
     """
     _check_conv("conv_bn_relu", x, kernel, None)
     c = kernel.shape[3]
@@ -572,6 +753,7 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     b, span = x.shape[0], gemm.span
     n = b * gemm.rows
     parents = gemm.parents + (gamma, beta)
+    slots = _slots(gemm.blocks)
     # without a graph the output overwrites the conv output z
     y = np.empty((n, c), dtype=gemm.dtype) if _graph(*parents) else None
 
@@ -583,62 +765,83 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
 
     if train:
         seen, mu, m2 = 0, 0, 0
+        centred = [np.empty(gemm.step * c, dtype=gemm.dtype) for _ in range(slots)]
 
-        def fold(lo, hi, blk):
-            nonlocal seen, mu, m2
+        def moments(slot, lo, hi, blk):
             blk = blk[0]
-            k = blk.shape[0]
             blk_mu = blk.mean(axis=0)
-            d = blk - blk_mu
+            d = np.subtract(blk, blk_mu, out=_head(centred[slot], blk.shape))
+            return blk.shape[0], blk_mu, np.einsum("ij,ij->j", d, d)
+
+        def fold(block_moments):
+            nonlocal seen, mu, m2
+            k, blk_mu, blk_m2 = block_moments
             delta = blk_mu - mu
             mu = mu + delta * (k / (seen + k))
-            m2 = m2 + np.einsum("ij,ij->j", d, d) + delta * delta * (seen * k / (seen + k))
+            m2 = m2 + blk_m2 + delta * delta * (seen * k / (seen + k))
             seen += k
 
-        z = gemm.forward(fold)[0]
+        z = gemm.forward(moments, fold)[0]
         var = m2 / n
         inv_std = 1.0 / np.sqrt(var + eps)
         s = gamma.data * inv_std
         t = beta.data - mu * s
-        for lo, hi in gemm.blocks:
-            scale_shift_relu(lo, hi, z[span(lo, hi)])
+        _walk(gemm.blocks, lambda slot, lo, hi: scale_shift_relu(lo, hi, z[span(lo, hi)]))
     else:
         mu = running_mean
         inv_std = 1.0 / np.sqrt(running_var + eps)
         s = gamma.data * inv_std
         t = beta.data - running_mean * s
-        z = gemm.forward(lambda lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
+        z = gemm.forward(lambda slot, lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
     if y is None:
         y = z
 
     def rule(node):
         g = node.grad.reshape(n, c)
+        size, xhat_dtype = gemm.step * c, np.result_type(z, mu, inv_std)
+        bufs = [(np.empty(size, dtype=bool), np.empty(size, dtype=g.dtype),
+                 np.empty(size, dtype=xhat_dtype)) for _ in range(slots)]
 
-        def relu_grad(rows):
-            gy = g[rows] * (y[rows] > 0)
-            return gy, (z[rows] - mu) * inv_std
+        def relu_grad(slot, lo, hi):
+            """The block's g * (out > 0) and normalized z, in the slot's buffers."""
+            rows, (mask, gy, xhat) = span(lo, hi), bufs[slot]
+            shape = (rows.stop - rows.start, c)
+            mask = np.greater(y[rows], 0, out=_head(mask, shape))
+            gy = np.multiply(g[rows], mask, out=_head(gy, shape))
+            xhat = np.subtract(z[rows], mu, out=_head(xhat, shape))
+            xhat *= inv_std
+            return gy, xhat
+
+        def block_sums(slot, lo, hi):
+            gy, xhat = relu_grad(slot, lo, hi)
+            return gy.sum(axis=0), np.einsum("ij,ij->j", gy, xhat)
 
         sum_gy = np.zeros(c, dtype=z.dtype)
         sum_gy_xhat = np.zeros(c, dtype=z.dtype)
-        for lo, hi in gemm.blocks:
-            gy, xhat = relu_grad(span(lo, hi))
-            sum_gy += gy.sum(axis=0)
-            sum_gy_xhat += np.einsum("ij,ij->j", gy, xhat)
+
+        def add_sums(sums):
+            nonlocal sum_gy, sum_gy_xhat
+            sum_gy += sums[0]
+            sum_gy_xhat += sums[1]
+
+        _walk(gemm.blocks, block_sums, add_sums)
         if gamma.needs_grad:
             gamma.accumulate_grad(sum_gy_xhat)
         if beta.needs_grad:
             beta.accumulate_grad(sum_gy)
+        mean_gy, mean_gy_xhat = sum_gy / n, sum_gy_xhat / n
 
-        def conv_grad(lo, hi):
-            gz, xhat = relu_grad(span(lo, hi))
+        def conv_grad(slot, lo, hi):
+            gz, xhat = relu_grad(slot, lo, hi)
             if train:
                 # closed-form gradient through the batch statistics
-                gz -= sum_gy / n
-                gz -= xhat * (sum_gy_xhat / n)
+                gz -= mean_gy
+                xhat *= mean_gy_xhat
+                gz -= xhat
             gz *= s
             return gz[None]
 
-        gemm.backward(conv_grad)
+        gemm.backward(conv_grad, node.dtype)
 
     out = Tensor(y.reshape(b, gemm.wo, gemm.ho, c), parents, rule)
     return (out, mu, var) if train else (out, None, None)
@@ -673,14 +876,21 @@ def channel_affine(x, weight, bias=None):
     gemm = _WindowGemm(x, weight, bias, (1, 1), 1, "valid")
     out = np.empty((b, w, h, e, m), dtype=gemm.dtype)
 
-    def write(lo, hi, blk):
+    def write(slot, lo, hi, blk):
         np.copyto(out[lo:hi], np.moveaxis(blk.reshape(m, hi - lo, w, h, e), 0, -1))
 
     gemm.forward(write, whole=False)
 
     def rule(node):
-        gemm.backward(lambda lo, hi: np.ascontiguousarray(
-            np.moveaxis(node.grad[lo:hi], -1, 0)).reshape(m, -1, e))
+        gy = node.grad
+        bufs = [np.empty(m * gemm.step * e, dtype=node.dtype) for _ in range(_slots(gemm.blocks))]
+
+        def grad(slot, lo, hi):
+            g = _head(bufs[slot], (m, hi - lo, w, h, e))
+            np.copyto(g, np.moveaxis(gy[lo:hi], -1, 0))
+            return g.reshape(m, -1, e)
+
+        gemm.backward(grad, node.dtype)
 
     return Tensor(out, gemm.parents, rule)
 
@@ -704,16 +914,18 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     u is the product of a _WindowGemm, whose blocks may grow to the size of
     the weight, so a small layer's GEMMs do not re-read a large weight once
     per block. u stays in the (M, rows, N, E) layout, so every sum over
-    input channels reduces the leading axis; the weighted sum goes through a
-    block-sized buffer into the block's rows of the output. With a graph the
-    blocks fill the whole-batch u (M, P, N, E) and a (M, P, N), with
-    P = B*Wo*Ho, which the rule keeps, because rebuilding u costs a GEMM;
-    without one they reuse block-sized buffers, so the output is the only
-    whole-batch array.
+    input channels reduces the leading axis; the logits and the weighted sum
+    go through block-sized buffers, the latter into the block's rows of the
+    output. With a graph the blocks fill the whole-batch u (M, P, N, E) and
+    a (M, P, N), with P = B*Wo*Ho, which the rule keeps, because rebuilding
+    u costs a GEMM; without one they reuse block-sized buffers, so the
+    output is the only whole-batch array.
 
-    The rule walks the same blocks. Per block it takes the softmax
-    backward and hands the GEMM's backward the gradient of u,
-    gu = a*g + gl*reference (the weighted sum's term and the logits').
+    The rule walks the same blocks. Per block it takes the softmax backward
+    and the block's part of the reference gradient, which the calling thread
+    adds in block order, and hands the GEMM's backward the gradient of u,
+    gu = a*g + gl*reference (the weighted sum's term and the logits'), built
+    into a block buffer.
 
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
@@ -731,7 +943,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             f"not match {ksize} patches of {caps.shape}: need ({m}, {k}, N*E) and (N, E, {m})"
         )
     gemm = _WindowGemm(caps, weight, None, ksize, stride, padding)
-    p = b * gemm.rows
+    p, step, slots = b * gemm.rows, gemm.step, _slots(gemm.blocks)
     parents = gemm.parents + (reference,)
     graph = _graph(*parents)
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
@@ -739,13 +951,15 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     a = np.empty((m, p, n), dtype=routed) if graph else None
     # einsum writes the (rows, N, E) weighted sum about 4x faster into a
     # contiguous buffer than into the output's transposed view
-    wsum = np.empty((gemm.step, n, e), dtype=routed)
+    bufs = [(np.empty(m * step * n, dtype=routed), np.empty((step, n, e), dtype=routed))
+            for _ in range(slots)]
     out = np.empty((p, e, n), dtype=routed)
 
-    def route(lo, hi, bu):
+    def route(slot, lo, hi, bu):
         r = gemm.span(lo, hi)
         bu = bu.reshape(m, -1, n, e)
-        logits = np.einsum("mpne,mne->mpn", bu, ref)
+        logit_buf, wsum = bufs[slot]
+        logits = np.einsum("mpne,mne->mpn", bu, ref, out=_head(logit_buf, (m, bu.shape[1], n)))
         if not np.all(np.isfinite(logits)):
             raise ComputationError("transform_route() produced non-finite routing logits")
         ba = logits if a is None else a[:, r]
@@ -756,22 +970,38 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
         np.einsum("mpn,mpne->pne", ba, bu, out=bsum)
         np.copyto(out[r], bsum.transpose(0, 2, 1))
 
-    u = gemm.forward(each=route, whole=graph).reshape(m, -1, n, e)
+    u = gemm.forward(route, whole=graph)
 
     def rule(node):
-        def grad(lo, hi):
-            r = gemm.span(lo, hi)
-            g = np.ascontiguousarray(node.grad.reshape(p, e, n)[r].transpose(0, 2, 1))
-            bu, ba = u[:, r], a[:, r]
-            # softmax backward: d logit = a * (d a - sum_m a * d a)
-            ga = np.einsum("pne,mpne->mpn", g, bu)
-            gl = ba * (ga - (ba * ga).sum(axis=0))
-            if reference.needs_grad:
-                reference.accumulate_grad(np.einsum("mpn,mpne->nem", gl, bu))
-            # u feeds both the weighted sum and the logits
-            return (ba[..., None] * g + gl[..., None] * ref[:, None]).reshape(m, -1, n * e)
+        gout, uu = node.grad.reshape(p, e, n), u.reshape(m, -1, n, e)
+        ref_grad = reference.needs_grad
+        block_bufs = [[np.empty(size, dtype=routed)
+                       for size in (step * n * e, m * step * n, m * step * n, m * step * n * e)]
+                      for _ in range(slots)]
 
-        gemm.backward(grad)
+        def grad(slot, lo, hi):
+            r = gemm.span(lo, hi)
+            rows = r.stop - r.start
+            g_buf, ga_buf, gl_buf, gu_buf = block_bufs[slot]
+            g = _head(g_buf, (rows, n, e))
+            np.copyto(g, gout[r].transpose(0, 2, 1))
+            bu, ba = uu[:, r], a[:, r]
+            # softmax backward: d logit = a * (d a - sum_m a * d a)
+            ga = np.einsum("pne,mpne->mpn", g, bu, out=_head(ga_buf, (m, rows, n)))
+            gl = np.multiply(ba, ga, out=_head(gl_buf, (m, rows, n)))
+            ga -= gl.sum(axis=0)
+            np.multiply(ba, ga, out=gl)
+            part = np.einsum("mpn,mpne->nem", gl, bu) if ref_grad else None
+            # u feeds both the weighted sum and the logits
+            gu = np.multiply(ba[..., None], g, out=_head(gu_buf, (m, rows, n, e)))
+            gu += gl[..., None] * ref[:, None]
+            return gu.reshape(m, rows, n * e), part
+
+        def add_ref_grad(part):
+            if part is not None:
+                reference.accumulate_grad(part)
+
+        gemm.backward(grad, node.dtype, add_ref_grad)
 
     return Tensor(out.reshape(b, gemm.wo, gemm.ho, e, n), parents, rule)
 

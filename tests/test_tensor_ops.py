@@ -1,15 +1,25 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
 import contextlib
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arcaps import reference, tensor as T
+from arcaps.analysis import alignment_experiment
+from arcaps.data import Dataset
 from arcaps.errors import ComputationError, ConfigurationError
+from arcaps.model import ArCapsNet
 from arcaps.selftest import (batchnorm, oracle_banks, routing_weights, stem_composition,
                              stem_oracle_gap, stem_probe)
 from conftest import blocks_of_two, routing_logits
@@ -725,3 +735,176 @@ class TestNoGrad:
         loss = T.sum_all(T.leaf(rng.standard_normal(3)))
         with pytest.raises(ConfigurationError, match="needs_grad"):
             T.backward(loss)
+
+
+def _tiny_model_arrays(config):
+    """A tiny model's train step on five images (loss, capsules, every
+    gradient, the BN running statistics), its no_grad forward and one align
+    sample, as a list of arrays."""
+    net = ArCapsNet(config, seed=0)
+    images = np.random.default_rng(1).random((5, 8, 8, 1), dtype=np.float32)
+    labels = np.array([0, 1, 2, 0, 1])
+    total, _, _, result = net.loss(images, labels, train=True, rng=np.random.default_rng(2))
+    T.backward(total)
+    arrays = [total.data, result.capsules.data]
+    arrays += [t.grad for _, t in net.store.trainable_items()]
+    arrays += [t.data for name, t in net.store.items() if ".bn.running_" in name]
+    with T.no_grad():
+        arrays.append(net.capsule_forward(images).data)
+    report = alignment_experiment(net, Dataset(images, labels, config.classes), 1)
+    arrays += [r.ratios for r in report.records] + [r.align for r in report.records]
+    return arrays
+
+
+def _conv_case(rng):
+    """Five 6x6 images of two channels and a 3x3 kernel to four channels."""
+    return rng.standard_normal((5, 6, 6, 2)), rng.standard_normal((3, 3, 2, 4))
+
+
+class TestThreadedWalk:
+    """With more than one worker, _WindowGemm's blocks run on a thread pool
+    and the calling thread folds their results in block order."""
+
+    def test_threaded_walk_equals_inline_walk_bitwise(self, monkeypatch, tiny_config):
+        walked = blocks_of_two(monkeypatch)
+        runs = []
+        for workers in (2, 1):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            runs.append(_tiny_model_arrays(tiny_config))
+        assert [(0, 2), (2, 4), (4, 5)] in walked
+        assert len(runs[0]) == len(runs[1])
+        for threaded, inline in zip(*runs):
+            assert threaded.dtype == inline.dtype and threaded.shape == inline.shape
+            assert threaded.tobytes() == inline.tobytes()
+
+    def test_blocks_run_on_two_worker_threads(self, rng, monkeypatch):
+        blocks_of_two(monkeypatch)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        threads = []
+        operand = T._WindowGemm.operand
+
+        def recording(gemm, bufs, lo, hi):
+            threads.append(threading.get_ident())
+            time.sleep(0.05)  # the next block starts on the other worker meanwhile
+            return operand(gemm, bufs, lo, hi)
+
+        monkeypatch.setattr(T._WindowGemm, "operand", recording)
+        x, kernel = (T.leaf(a, True) for a in _conv_case(rng))
+        T.backward(T.sum_all(T.square(T.conv2d(x, kernel))))
+        assert len(threads) == 6  # three blocks forward, three for the kernel gradient
+        assert len(set(threads)) == 2 and threading.get_ident() not in threads
+
+    def test_error_in_a_block_leaves_no_block_running(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        lock, running, finished = threading.Lock(), [], []
+
+        def work(slot, lo, hi):
+            with lock:
+                running.append(lo)
+            try:
+                time.sleep(0.05 if lo == 0 else 0.3)
+                if lo == 0:
+                    raise ComputationError("block 0 failed")
+            finally:
+                with lock:
+                    running.remove(lo)
+                    finished.append(lo)
+
+        start = time.monotonic()
+        with pytest.raises(ComputationError, match="^block 0 failed$"):
+            T._walk([(0, 1), (1, 2), (2, 3), (3, 4)], work, lambda part: None)
+        # block 1 was in flight and ran to its end; blocks 2 and 3 never started
+        assert running == [] and sorted(finished) == [0, 1]
+        assert time.monotonic() - start > 0.3
+
+    def test_walk_under_stress_runs_each_block_once_and_folds_in_order(self, monkeypatch):
+        # more workers than cores and a short switch interval: a lost update
+        # of the shared block order would run a block twice or skip one
+        monkeypatch.setattr(T, "_WORKERS", 8)
+        monkeypatch.setattr(T, "_pool", None)  # a pool of 8 for this test alone
+        blocks = [(i, i + 1) for i in range(400)]
+        lock, runs, folded = threading.Lock(), [0] * len(blocks), []
+
+        def work(slot, lo, hi):
+            with lock:
+                runs[lo] += 1
+            return lo, float(np.sum(np.arange(50.0) * lo))
+
+        interval = sys.getswitchinterval()
+        walker = threading.Thread(target=T._walk, args=(blocks, work, folded.append))
+        try:
+            sys.setswitchinterval(1e-6)
+            walker.start()
+            walker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if T._pool is not None:
+                T._pool.shutdown(wait=False)
+        assert not walker.is_alive()
+        assert runs == [1] * len(blocks)
+        assert [lo for lo, _ in folded] == list(range(len(blocks)))
+
+    def test_routing_error_of_a_worker_keeps_its_message(self, rng, monkeypatch):
+        blocks_of_two(monkeypatch)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        caps = rng.standard_normal((5, 3, 3, 2, 3))
+        caps[2, 1, 1, 0, 0] = np.nan  # in the second of three blocks
+        weight = T.leaf(rng.standard_normal((3, 9 * 2, 2 * 4)) * 0.3)
+        ref = T.leaf(rng.standard_normal((2, 4, 3)))
+        with pytest.raises(ComputationError, match="^transform_route\\(\\) produced non-finite "
+                           "routing logits$"), np.errstate(invalid="ignore"):
+            T.transform_route(T.leaf(caps), weight, ref, (3, 3), 1, "same")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is tested on Linux")
+    def test_forked_child_runs_a_threaded_walk(self, rng, monkeypatch):
+        blocks_of_two(monkeypatch)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        operand = T._WindowGemm.operand
+
+        def slow(gemm, bufs, lo, hi):
+            time.sleep(0.05)  # both workers of the pool take a block
+            return operand(gemm, bufs, lo, hi)
+
+        monkeypatch.setattr(T._WindowGemm, "operand", slow)
+        x, kernel = _conv_case(rng)
+        # leaves this process's pool with two idle threads, which the child
+        # does not have
+        want = T.conv2d(T.leaf(x), T.leaf(kernel)).data
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(T.conv2d(T.leaf(x), T.leaf(kernel)).data, want) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's threaded walk did not finish in 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_import_build_and_load_start_no_thread(self, tmp_path, tiny_run_config):
+        script = f"""
+import sys, threading
+before = threading.active_count()
+from arcaps import tensor as T
+from arcaps.config import RunConfig
+from arcaps.model import ArCapsNet
+from arcaps.train import load_model, save_model
+run_config = RunConfig(**{asdict(tiny_run_config)!r})
+save_model({str(tmp_path / "m.ckpt")!r}, ArCapsNet(run_config.model_config(), seed=0), run_config)
+load_model({str(tmp_path / "m.ckpt")!r})
+print(T._WORKERS, threading.active_count() - before, "concurrent.futures" in sys.modules)
+"""
+        src = str(Path(T.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout.split()
+        workers, started, imported = out
+        assert int(workers) >= 1 and int(started) == 0 and imported == "False", out
