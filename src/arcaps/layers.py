@@ -65,7 +65,8 @@ class ConvBlock:
 
 
 class CapsuleActivation:
-    """Shared per-channel affine map followed by tanh.
+    """Shared per-channel affine map followed by tanh, one
+    :func:`~arcaps.tensor.capsule_activation` op.
 
     Equivalent to a 1x1 convolution per capsule channel: every capsule of
     channel n is multiplied by the same (D x E) matrix and shifted by the
@@ -81,7 +82,7 @@ class CapsuleActivation:
         self.bias = store.add(name + ".bias", np.zeros((channels, dim_out), dtype=dtype))
 
     def forward(self, s):
-        return T.tanh(T.channel_affine(s, self.weight, self.bias))
+        return T.capsule_activation(s, self.weight, self.bias)
 
 
 class PrimaryCaps:

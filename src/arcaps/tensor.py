@@ -11,6 +11,11 @@ keeps its data and gradient, but a freed graph cannot be walked again.
 Parameters are leaf tensors whose ``data`` the optimizer updates in place
 between batches; their gradients accumulate across graphs until zeroed.
 
+The 15 ops are the ones the model builds: add, affine, scale_by, relu,
+sigmoid, square, sum_all, reshape, matmul, capsule_norm, dropout and the
+four blocked ops below, conv2d, conv_bn_relu, capsule_activation and
+transform_route.
+
 Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
 intermediate array as soon as the next op has consumed it.
@@ -18,16 +23,19 @@ intermediate array as soon as the next op has consumed it.
 Every convolution of the model runs through one blocked GEMM over sliding
 windows, ``_WindowGemm``: conv2d and conv_bn_relu (the stem and the
 primary capsules), transform_route (the convolutional transform under
-attention routing) and channel_affine (the capsule activation, a 1x1
-affine per capsule channel). It alone knows the window geometry, checks
-the padding, adds the bias and makes its gradient, and sizes the blocks:
-it walks the batch in blocks of whole images whose operand and product
-rows fit one budget, so no op builds a whole-batch patch matrix or padded
+attention routing) and capsule_activation (a 1x1 affine per capsule
+channel, then tanh). It alone knows the window geometry, checks the
+padding, adds the bias and makes its gradient, and sizes the blocks: it
+walks the batch in blocks of whole images whose operand and product rows
+fit one budget, so no op builds a whole-batch patch matrix or padded
 copy, and under no_grad the ops reuse block-sized buffers in place of the
 whole-batch arrays only a backward rule would read. Its backward walks
-the same blocks and extracts each block's operand again, so a graph keeps
-only what costs a GEMM to rebuild: transform_route's u and routing
-weights a. Each op adds only its own epilogue and gradient step.
+the same blocks and extracts each block's operand again, so besides each
+node's output a graph keeps only what backward reads and a GEMM would not
+cheaply rebuild: transform_route's u and routing weights a, and
+conv_bn_relu's conv output z when its input needs a gradient (stem0's z,
+over the image, is rebuilt per block with a GEMM of K = 9). Each op adds
+only its own epilogue and gradient step.
 
 The blocks of a walk may run on worker threads (``_walk``), one per CPU
 that BLAS leaves idle: the usable CPUs over the BLAS threads that
@@ -280,15 +288,6 @@ def relu(x):
     return Tensor(np.maximum(x.data, 0), (x,), rule)
 
 
-def tanh(x):
-    y = np.tanh(x.data)
-
-    def rule(out):
-        x.accumulate_grad(out.grad * (1.0 - y * y))
-
-    return Tensor(y, (x,), rule)
-
-
 def sigmoid(x):
     # computed via tanh for stability at large |x|
     y = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
@@ -521,8 +520,8 @@ def _graph(*parents):
 
 class _WindowGemm:
     """The blocked GEMM over sliding windows behind conv2d, conv_bn_relu,
-    channel_affine and transform_route: the one place that knows the window
-    geometry, the padding, the bias and the block budget.
+    capsule_activation and transform_route: the one place that knows the
+    window geometry, the padding, the bias and the block budget.
 
     It walks the (kw, kh) windows at ``stride`` and ``padding`` ("same" or
     "valid") of a (B, W, H, D, M) input node in blocks of whole images. Each
@@ -621,9 +620,10 @@ class _WindowGemm:
 
     def backward(self, grad, dtype, fold=None):
         """Accumulate the weight, bias and input gradients, block by block in
-        a _walk, from grad(slot, lo, hi): the (M, rows, C) gradient, of
+        a _walk, from grad(slot, lo, hi, op): the (M, rows, C) gradient, of
         ``dtype``, of a block's product, or with ``fold`` a pair (gradient,
-        part) whose part ``fold`` takes.
+        part) whose part ``fold`` takes. ``op`` is the block's operand when
+        the walk extracts it (the weight needs a gradient), else None.
 
         A block's worker extracts its operand again for its weight gradient
         and sums its bias gradient; the calling thread adds both to their
@@ -638,6 +638,8 @@ class _WindowGemm:
         ops = self.operand_buffers(slots) if weight.needs_grad else None
         bias_grad = bias is not None and bias.needs_grad
         gxd = _5d(x.grad) if x.needs_grad else None
+        st, (kw, kh) = self.stride, self.ksize
+        span_w, span_h = st * (self.wo - 1) + 1, st * (self.ho - 1) + 1
         if gxd is not None:
             gx_dtype = np.result_type(dtype, self.w)
             # the patch gradient goes into the slot's operand buffer, which
@@ -647,22 +649,27 @@ class _WindowGemm:
                            for _ in range(slots)])
             gxps = [np.empty((self.blocks[0][1],) + self.padded, dtype=gx_dtype)
                     if self.pad else None for _ in range(slots)]
-        st, (kw, kh) = self.stride, self.ksize
-        span_w, span_h = st * (self.wo - 1) + 1, st * (self.ho - 1) + 1
+            # the scatter of several taps runs faster from the patch layout
+            # than from a view that reads m at a large stride: with M > 1
+            # the patch gradient is copied into it first
+            dense = ([np.empty(self.m * self.step * self.k, dtype=gx_dtype) for _ in range(slots)]
+                     if self.m > 1 and (kw, kh) != (1, 1) else None)
 
         def work(slot, lo, hi):
-            g, part = grad(slot, lo, hi) if fold is not None else (grad(slot, lo, hi), None)
-            wg = None if ops is None else self.operand(ops[slot], lo, hi).transpose(0, 2, 1) @ g
+            op = None if ops is None else self.operand(ops[slot], lo, hi)
+            g = grad(slot, lo, hi, op)
+            g, part = g if fold is not None else (g, None)
+            wg = None if op is None else op.transpose(0, 2, 1) @ g
             bg = g.sum(axis=1) if bias_grad else None
             if gxd is None:
                 return wg, bg, part
             gx = gbufs[slot][:, self.span(0, hi - lo)]
             np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
             gcols = np.moveaxis(gx.reshape(self.m, hi - lo, self.wo, self.ho, kw, kh, -1), 0, -1)
-            if (kw, kh) != (1, 1):
-                # the scatter runs faster from the patch layout than from
-                # a view that reads m at a large stride
-                gcols = np.ascontiguousarray(gcols)
+            if dense is not None:
+                cols = _head(dense[slot], gcols.shape)
+                np.copyto(cols, gcols)
+                gcols = cols
             dst = gxd[lo:hi]
             acc = gxps[slot][: hi - lo] if self.pad else dst
             if self.pad:
@@ -716,7 +723,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding="same"):
 
     def rule(node):
         g = node.grad.reshape(1, -1, gemm.c)
-        gemm.backward(lambda slot, lo, hi: g[:, gemm.span(lo, hi)], node.dtype)
+        gemm.backward(lambda slot, lo, hi, op: g[:, gemm.span(lo, hi)], node.dtype)
 
     return Tensor(out.reshape(x.shape[0], gemm.wo, gemm.ho, gemm.c), gemm.parents, rule)
 
@@ -735,12 +742,16 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     composition's arithmetic, so its outputs equal the composition's
     bitwise.
 
-    With a graph, the node holds only its output and the conv output z; the
-    rule rebuilds the normalized z block by block, takes the relu mask from
-    out > 0, sums the blocks' gradient terms in block order and feeds each
-    block's gradient of z straight into the conv backward. Returns (out,
-    batch_mean, batch_var): the statistics are None in infer mode, and the
-    caller updates the running statistics.
+    With a graph, the node holds its output and, when x needs a gradient,
+    the conv output z. When x needs none (stem0, whose input is the image),
+    the output overwrites z, as without a graph, and the rule rebuilds each
+    block's z with one GEMM from the block's patches, the forward's GEMM
+    and so its bits; the conv backward's walk hands it the patches it
+    extracts for the kernel gradient. The rule normalizes z block by block,
+    takes the relu mask from out > 0, sums the blocks' gradient terms in
+    block order and feeds each block's gradient of z straight into the conv
+    backward. Returns (out, batch_mean, batch_var): the statistics are None
+    in infer mode, and the caller updates the running statistics.
     """
     _check_conv("conv_bn_relu", x, kernel, None)
     c = kernel.shape[3]
@@ -754,8 +765,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     n = b * gemm.rows
     parents = gemm.parents + (gamma, beta)
     slots = _slots(gemm.blocks)
-    # without a graph the output overwrites the conv output z
-    y = np.empty((n, c), dtype=gemm.dtype) if _graph(*parents) else None
+    # the output overwrites the conv output z unless the rule keeps z
+    y = np.empty((n, c), dtype=gemm.dtype) if _graph(*parents) and x.needs_grad else None
 
     def scale_shift_relu(lo, hi, blk):
         out = blk if y is None else y[span(lo, hi)]
@@ -794,21 +805,35 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
         t = beta.data - running_mean * s
         z = gemm.forward(lambda slot, lo, hi, blk: scale_shift_relu(lo, hi, blk[0]))[0]
     if y is None:
-        y = z
+        y, z = z, None
 
     def rule(node):
         g = node.grad.reshape(n, c)
-        size, xhat_dtype = gemm.step * c, np.result_type(z, mu, inv_std)
+        size, xhat_dtype = gemm.step * c, np.result_type(gemm.dtype, mu, inv_std)
         bufs = [(np.empty(size, dtype=bool), np.empty(size, dtype=g.dtype),
                  np.empty(size, dtype=xhat_dtype)) for _ in range(slots)]
+        if z is None:
+            ops = gemm.operand_buffers(slots)
+            zbufs = [np.empty(size, dtype=gemm.dtype) for _ in range(slots)]
 
-        def relu_grad(slot, lo, hi):
+        def conv_out(slot, lo, hi, op):
+            """The block's z: kept, or rebuilt from its operand ``op`` (extracted
+            into the slot's buffers when None)."""
+            if z is not None:
+                return z[span(lo, hi)]
+            if op is None:
+                op = gemm.operand(ops[slot], lo, hi)
+            zb = _head(zbufs[slot], (1, op.shape[1], c))
+            np.matmul(op, gemm.w, out=zb)
+            return zb[0]
+
+        def relu_grad(slot, lo, hi, op=None):
             """The block's g * (out > 0) and normalized z, in the slot's buffers."""
             rows, (mask, gy, xhat) = span(lo, hi), bufs[slot]
             shape = (rows.stop - rows.start, c)
             mask = np.greater(y[rows], 0, out=_head(mask, shape))
             gy = np.multiply(g[rows], mask, out=_head(gy, shape))
-            xhat = np.subtract(z[rows], mu, out=_head(xhat, shape))
+            xhat = np.subtract(conv_out(slot, lo, hi, op), mu, out=_head(xhat, shape))
             xhat *= inv_std
             return gy, xhat
 
@@ -816,8 +841,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             gy, xhat = relu_grad(slot, lo, hi)
             return gy.sum(axis=0), np.einsum("ij,ij->j", gy, xhat)
 
-        sum_gy = np.zeros(c, dtype=z.dtype)
-        sum_gy_xhat = np.zeros(c, dtype=z.dtype)
+        sum_gy = np.zeros(c, dtype=gemm.dtype)
+        sum_gy_xhat = np.zeros(c, dtype=gemm.dtype)
 
         def add_sums(sums):
             nonlocal sum_gy, sum_gy_xhat
@@ -831,8 +856,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             beta.accumulate_grad(sum_gy)
         mean_gy, mean_gy_xhat = sum_gy / n, sum_gy_xhat / n
 
-        def conv_grad(slot, lo, hi):
-            gz, xhat = relu_grad(slot, lo, hi)
+        def conv_grad(slot, lo, hi, op):
+            gz, xhat = relu_grad(slot, lo, hi, op)
             if train:
                 # closed-form gradient through the batch statistics
                 gz -= mean_gy
@@ -847,47 +872,59 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     return (out, mu, var) if train else (out, None, None)
 
 
-def channel_affine(x, weight, bias=None):
-    """Independent affine map per trailing channel.
+def capsule_activation(x, weight, bias):
+    """The capsule activation: an independent affine map per capsule
+    channel, then tanh, as one op.
 
-    x: (B, W, H, K, M), weight: (M, K, E), bias: (M, E) or None
-    out[..., e, m] = sum_k x[..., k, m] * weight[m, k, e] (+ bias[m, e])
+    x: (B, W, H, D, M), weight: (M, D, E), bias: (M, E)
+    out[..., e, m] = tanh(sum_d x[..., d, m] * weight[m, d, e] + bias[m, e])
 
-    This is the per-channel 1x1 affine of the capsule activation (K = D):
-    the (1, 1) "valid" windows of a _WindowGemm. Each block's product plus
-    bias goes through a reused block buffer into its images of the output,
-    so the output is the only whole-batch array.
+    The affine map is the (1, 1) "valid" windows of a _WindowGemm. Each
+    block's product plus bias goes through tanh in the slot's block buffer,
+    on the block's worker, and then into its images of the output, so the
+    output is the only whole-batch array. The node keeps only that output
+    y: tanh's derivative is 1 - y*y, so the rule forms each block's
+    g * (1 - y*y) in block buffers, copies it channel first and hands it to
+    the GEMM's backward.
     """
     if x.data.ndim != 5 or weight.data.ndim != 3:
         raise ConfigurationError(
-            f"channel_affine() expects rank-5 input and rank-3 weight, "
+            f"capsule_activation() expects rank-5 input and rank-3 weight, "
             f"got {x.shape} and {weight.shape}"
         )
-    b, w, h, k, m = x.shape
-    if weight.shape[0] != m or weight.shape[1] != k:
+    b, w, h, d, m = x.shape
+    if weight.shape[0] != m or weight.shape[1] != d:
         raise ConfigurationError(
-            f"channel_affine() weight {weight.shape} does not match input {x.shape}: "
-            f"need ({m}, {k}, E)"
+            f"capsule_activation() weight {weight.shape} does not match input {x.shape}: "
+            f"need ({m}, {d}, E)"
         )
     e = weight.shape[2]
-    if bias is not None and bias.shape != (m, e):
-        raise ConfigurationError(f"channel_affine() bias shape {bias.shape} != ({m}, {e})")
+    if bias.shape != (m, e):
+        raise ConfigurationError(f"capsule_activation() bias shape {bias.shape} != ({m}, {e})")
 
     gemm = _WindowGemm(x, weight, bias, (1, 1), 1, "valid")
     out = np.empty((b, w, h, e, m), dtype=gemm.dtype)
 
     def write(slot, lo, hi, blk):
+        np.tanh(blk, out=blk)
         np.copyto(out[lo:hi], np.moveaxis(blk.reshape(m, hi - lo, w, h, e), 0, -1))
 
     gemm.forward(write, whole=False)
 
     def rule(node):
-        gy = node.grad
-        bufs = [np.empty(m * gemm.step * e, dtype=node.dtype) for _ in range(_slots(gemm.blocks))]
+        gy, y = node.grad, node.data
+        size = m * gemm.step * e
+        bufs = [(np.empty(size, dtype=node.dtype), np.empty(size, dtype=node.dtype))
+                for _ in range(_slots(gemm.blocks))]
 
-        def grad(slot, lo, hi):
-            g = _head(bufs[slot], (m, hi - lo, w, h, e))
-            np.copyto(g, np.moveaxis(gy[lo:hi], -1, 0))
+        def grad(slot, lo, hi, op):
+            # contiguous passes over the block, then one copy channel first
+            d_buf, g_buf = bufs[slot]
+            d = np.multiply(y[lo:hi], y[lo:hi], out=_head(d_buf, y[lo:hi].shape))
+            np.subtract(1.0, d, out=d)
+            d *= gy[lo:hi]
+            g = _head(g_buf, (m, hi - lo, w, h, e))
+            np.copyto(g, np.moveaxis(d, -1, 0))
             return g.reshape(m, -1, e)
 
         gemm.backward(grad, node.dtype)
@@ -924,8 +961,8 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     The rule walks the same blocks. Per block it takes the softmax backward
     and the block's part of the reference gradient, which the calling thread
     adds in block order, and hands the GEMM's backward the gradient of u,
-    gu = a*g + gl*reference (the weighted sum's term and the logits'), built
-    into a block buffer.
+    gu = a*g + gl*reference (the weighted sum's term and the logits'), each
+    term built in a block buffer of its own.
 
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
@@ -976,13 +1013,14 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
         gout, uu = node.grad.reshape(p, e, n), u.reshape(m, -1, n, e)
         ref_grad = reference.needs_grad
         block_bufs = [[np.empty(size, dtype=routed)
-                       for size in (step * n * e, m * step * n, m * step * n, m * step * n * e)]
+                       for size in (step * n * e, m * step * n, m * step * n, m * step * n * e,
+                                    m * step * n * e)]
                       for _ in range(slots)]
 
-        def grad(slot, lo, hi):
+        def grad(slot, lo, hi, op):
             r = gemm.span(lo, hi)
             rows = r.stop - r.start
-            g_buf, ga_buf, gl_buf, gu_buf = block_bufs[slot]
+            g_buf, ga_buf, gl_buf, gu_buf, gr_buf = block_bufs[slot]
             g = _head(g_buf, (rows, n, e))
             np.copyto(g, gout[r].transpose(0, 2, 1))
             bu, ba = uu[:, r], a[:, r]
@@ -994,7 +1032,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             part = np.einsum("mpn,mpne->nem", gl, bu) if ref_grad else None
             # u feeds both the weighted sum and the logits
             gu = np.multiply(ba[..., None], g, out=_head(gu_buf, (m, rows, n, e)))
-            gu += gl[..., None] * ref[:, None]
+            gu += np.multiply(gl[..., None], ref[:, None], out=_head(gr_buf, gu.shape))
             return gu.reshape(m, rows, n * e), part
 
         def add_ref_grad(part):

@@ -61,7 +61,7 @@ def transform_stacks(layer, u):
 
 def blocks_of_two(monkeypatch):
     """Shrink the block budget of every blocked op (conv2d, conv_bn_relu,
-    transform_route, channel_affine) to two of its images, so a batch of
+    transform_route, capsule_activation) to two of its images, so a batch of
     more than two spans several blocks; the weight size that may grow
     transform_route's blocks is ignored. Returns the list that records the
     (lo, hi) blocks of each op call, in call order."""

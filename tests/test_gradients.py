@@ -72,6 +72,7 @@ BLOCKED_IDS = [f"b{batch}-{seed}" if batch else str(seed) for seed, batch in BLO
 
 @pytest.mark.parametrize("seed,batch", BLOCKED_CASES, ids=BLOCKED_IDS)
 def test_channel_affine_gradients(monkeypatch, seed, batch):
+    # the capsule activation: the per-channel affine map and its tanh
     rng = np.random.default_rng(20 + seed)
     k, m, e = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
     x = rng.standard_normal((batch or 2, 2, 3, k, m))
@@ -81,7 +82,7 @@ def test_channel_affine_gradients(monkeypatch, seed, batch):
     b = rng.standard_normal((m, e)) * 0.1
     arrays = [x, w, b]
     check_gradients(
-        _frozen_weight(rng, lambda ts: T.channel_affine(ts[0], ts[1], ts[2]), arrays), arrays)
+        _frozen_weight(rng, lambda ts: T.capsule_activation(ts[0], ts[1], ts[2]), arrays), arrays)
 
 
 # (input shape (B, W, H), ksize, stride, padding), one per seed: patches of
@@ -144,7 +145,7 @@ def test_softmax_gradients(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "square"])
+@pytest.mark.parametrize("op", ["sigmoid", "relu", "square"])
 def test_elementwise_gradients(seed, op):
     rng = np.random.default_rng(50 + seed)
     x = rng.standard_normal((3, 4)) * 2
@@ -159,9 +160,11 @@ def test_elementwise_gradients(seed, op):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tanh_gradient_matches_closed_form(seed):
     rng = np.random.default_rng(55 + seed)
-    x = rng.standard_normal((4, 4))
+    # the capsule activation with an identity map and no shift is tanh
+    x = rng.standard_normal((4, 4, 1, 2, 3))
     lf = T.leaf(x, needs_grad=True)
-    T.backward(T.sum_all(T.tanh(lf)))
+    identity = T.leaf(np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
+    T.backward(T.sum_all(T.capsule_activation(lf, identity, T.leaf(np.zeros((3, 2))))))
     assert np.allclose(lf.grad, 1 - np.tanh(x) ** 2, atol=1e-9)
 
 
@@ -199,6 +202,22 @@ def test_conv_bn_relu_gradients(monkeypatch, seed, train):
     blocks_of_two(monkeypatch)
     check_gradients(
         _frozen_weight(rng, lambda ts: T.conv_bn_relu(*ts, *stats, train)[0], arrays), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("train", [True, False])
+def test_conv_bn_relu_gradients_of_an_input_without_gradient(monkeypatch, seed, train):
+    # stem0's case: the input needs no gradient, so the rule rebuilds the
+    # conv output from the patches for the kernel, gamma and beta gradients
+    rng = np.random.default_rng(140 + seed)
+    w = int(rng.integers(4, 7))
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    (x, *arrays), stats = stem_probe(rng, (5, w, w, cin), cout, train)
+    image = T.leaf(x)
+    blocks_of_two(monkeypatch)
+    check_gradients(
+        _frozen_weight(rng, lambda ts: T.conv_bn_relu(image, *ts, *stats, train)[0], arrays),
+        arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -355,12 +355,12 @@ class TestConvCaps:
 
     def test_train_forward_builds_one_node_per_step_and_no_patch_array(self, rng, node_log):
         # dropout, transform_route (patches, transform and routing),
-        # channel_affine, tanh
+        # capsule_activation
         layer, _ = make_conv_caps(rng, stride=2)
         u = T.leaf(rng.standard_normal((2, 6, 6, 3, 3)), needs_grad=True)
         node_log.clear()
         out = layer.forward(u, train=True, rng=np.random.default_rng(0))
-        assert len(node_log) == 4 and node_log[-1] is out
+        assert len(node_log) == 3 and node_log[-1] is out
         patches = (2, 3, 3, 27, 3)  # (B, Wo, Ho, kw*kh*D, M)
         assert all(n.shape != patches for n in node_log)
 

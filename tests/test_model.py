@@ -428,15 +428,16 @@ def test_float32_train_step_graph_is_float32(rng, tiny_config):
     assert not wrong, f"{len(wrong)} of {len(nodes)} nodes are not float32: {wrong[:3]}"
 
 
-def test_default_train_step_builds_45_nodes(rng, node_log):
+def test_default_train_step_builds_42_nodes(rng, node_log):
     # one conv_bn_relu node per stem block, where conv2d, batchnorm and relu
-    # took three, and one matmul node per decoder layer, bias included;
-    # perfbench's tensor.nodes counts the same nodes
+    # took three, one capsule_activation node per capsule layer, where
+    # channel_affine and tanh took two, and one matmul node per decoder
+    # layer, bias included; perfbench's tensor.nodes counts the same nodes
     net = ArCapsNet(ModelConfig(), seed=0)
     images = rng.random((2, 28, 28, 1), dtype=np.float32)
     node_log.clear()
     net.loss(images, np.array([3, 7]), train=True, rng=np.random.default_rng(0))
-    assert len(node_log) == 45
+    assert len(node_log) == 42
 
 
 def test_tensor_exports_exactly_the_ops_the_model_builds(rng, monkeypatch):
@@ -541,7 +542,7 @@ def test_no_grad_forward_walks_blocks_equal_to_the_graph_forward(rng, tiny_confi
     with T.no_grad():
         walk = net.forward(images)
     # the model's walk, then each block through its four stem and primary
-    # ops (two conv_bn_relu, conv2d, channel_affine), then convcaps0 on the
+    # ops (two conv_bn_relu, conv2d, capsule_activation), then convcaps0 on the
     # whole batch
     whole = [(0, 2), (2, 4), (4, 5)]
     assert walked[:14] == [whole] + [[(0, 2)]] * 8 + [[(0, 1)]] * 4 + [whole]

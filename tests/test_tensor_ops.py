@@ -182,10 +182,11 @@ def _input_gradient_case(case, rng):
         kern = T.leaf(rng.standard_normal((3, 3, 2, 3)))
         return (rng.standard_normal((5, 5, 5, 2)),
                 lambda x: T.conv2d(x, kern, None, stride, padding))
-    if case == "channel_affine":
+    if case == "capsule_activation":
         weight = T.leaf(rng.standard_normal((3, 4, 5)))
         bias = T.leaf(rng.standard_normal((3, 5)))
-        return rng.standard_normal((5, 3, 2, 4, 3)), lambda x: T.channel_affine(x, weight, bias)
+        return (rng.standard_normal((5, 3, 2, 4, 3)),
+                lambda x: T.capsule_activation(x, weight, bias))
     # 3x3 "valid" windows over 3x3 capsules: one position per image
     weight = T.leaf(rng.standard_normal((3, 9 * 2, 2 * 4)) * 0.3)
     ref = T.leaf(rng.standard_normal((2, 4, 3)))
@@ -194,11 +195,11 @@ def _input_gradient_case(case, rng):
 
 
 class TestBlockedOps:
-    """conv2d, transform_route and channel_affine walk five images in blocks
-    of two, the last one ragged."""
+    """conv2d, transform_route and capsule_activation walk five images in
+    blocks of two, the last one ragged."""
 
     @pytest.mark.parametrize("case", ["conv2d-stride2-same", "conv2d-stride1-valid",
-                                      "channel_affine", "transform_route-whole-extent-valid"])
+                                      "capsule_activation", "transform_route-whole-extent-valid"])
     def test_input_gradient_adds_to_an_existing_one(self, rng, monkeypatch, case):
         # x feeds the op and square: both gradients add up, whether the op's
         # patch gradient goes through the padded scatter buffer ("same") or
@@ -250,17 +251,19 @@ class TestBlockedOps:
         assert np.max(np.abs(blocked - slow)) < 1e-6
 
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
-    def test_channel_affine_blocks(self, rng, monkeypatch, graph):
-        x = rng.standard_normal((5, 3, 2, 4, 3))
-        weight = rng.standard_normal((3, 4, 5))
-        bias = rng.standard_normal((3, 5))
-        one_block = _forward(False, T.channel_affine, x, weight, bias)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_capsule_activation_blocks(self, rng, monkeypatch, graph, dtype):
+        x = rng.standard_normal((5, 3, 2, 4, 3)).astype(dtype)
+        weight = rng.standard_normal((3, 4, 5)).astype(dtype)
+        bias = rng.standard_normal((3, 5)).astype(dtype)
+        one_block = _forward(False, T.capsule_activation, x, weight, bias)
         walked = blocks_of_two(monkeypatch)
-        blocked = _forward(graph, T.channel_affine, x, weight, bias)
+        blocked = _forward(graph, T.capsule_activation, x, weight, bias)
         assert walked == [[(0, 2), (2, 4), (4, 5)]]
+        assert blocked.dtype == dtype
         assert np.array_equal(blocked, one_block)
         slow = reference.capsule_activation_loops(x, weight, bias)
-        assert np.max(np.abs(np.tanh(blocked) - slow)) < 1e-6
+        assert np.max(np.abs(blocked - slow)) < 1e-6
 
     def test_transform_route_without_graph_holds_no_whole_batch_u(self, rng):
         # 3x3 "same" over 8x8 capsules of 8 channels, routed to 8 channels
@@ -281,7 +284,7 @@ class TestBlockedOps:
         assert out.shape == (batch, w, w, e, n)
         assert peak < batch * u_per_image, (peak, batch * u_per_image)
 
-    def test_channel_affine_without_graph_holds_one_output(self, rng):
+    def test_capsule_activation_without_graph_holds_one_output(self, rng):
         # an output of at least 4 block budgets; the block buffers add at
         # most about one budget
         w, k, m, e = 8, 16, 8, 16
@@ -293,7 +296,7 @@ class TestBlockedOps:
         tracemalloc.start()
         try:
             with T.no_grad():
-                out = T.channel_affine(x, weight, bias)
+                out = T.capsule_activation(x, weight, bias)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,20 +330,23 @@ class TestBlockedOps:
         assert np.any(caps.grad != 0) and np.any(weight.grad != 0)
         assert peak - held < patches, (peak - held, patches)
 
-    def test_channel_affine_graph_holds_no_channel_first_input(self, rng):
-        # an input of at least 8 block budgets
+    def test_capsule_activation_graph_holds_one_output(self, rng):
+        # an output of at least 8 block budgets: the node keeps it and
+        # neither the affine map's output before tanh nor a channel-first
+        # copy of the input
         w, k, m, e = 8, 16, 8, 16
-        batch = -(-8 * T.BLOCK_BYTES // (w * w * k * m * 4)) + 1
+        batch = -(-8 * T.BLOCK_BYTES // (w * w * e * m * 4)) + 1
         x = T.leaf(rng.standard_normal((batch, w, w, k, m)).astype(np.float32), True)
         weight = T.leaf(rng.standard_normal((m, k, e)).astype(np.float32), True)
         bias = T.leaf(rng.standard_normal((m, e)).astype(np.float32), True)
         tracemalloc.start()
         try:
-            out = T.channel_affine(x, weight, bias)
+            out = T.capsule_activation(x, weight, bias)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert kept < out.data.nbytes + T.BLOCK_BYTES, (kept, out.data.nbytes, x.data.nbytes)
+        assert out.parents == (x, weight, bias)
+        assert kept < out.data.nbytes + T.BLOCK_BYTES, (kept, out.data.nbytes)
 
     def test_stem0_blocks_count_operand_and_product_rows(self, monkeypatch):
         # stem0's shape, 100 28x28x1 images through a 3x3 conv to 64
@@ -408,18 +414,26 @@ class TestSoftmax:
             routing_weights(np.array([[[[np.inf, 1.0]]]]))
 
 
+def _tanh(values):
+    """tanh of a 1-D array through the capsule activation: each value is
+    a capsule of one dimension, mapped by the identity with no shift."""
+    caps = T.leaf(values.reshape(-1, 1, 1, 1, 1))
+    one, zero = T.leaf(np.ones((1, 1, 1))), T.leaf(np.zeros((1, 1)))
+    return T.capsule_activation(caps, one, zero).data.reshape(-1)
+
+
 class TestElementwise:
     def test_tanh_relu_basics(self):
-        assert T.tanh(T.leaf(np.zeros(1))).data[0] == 0.0
+        assert _tanh(np.zeros(1))[0] == 0.0
         assert T.relu(T.leaf(np.array([-1.0]))).data[0] == 0.0
 
     def test_tanh_stays_inside_unit_interval(self, rng):
         # strictly interior at representable magnitudes; beyond ~19 the
         # float64 value rounds to exactly 1, never past it
         x = rng.standard_normal(1000) * 3
-        y = T.tanh(T.leaf(x)).data
+        y = _tanh(x)
         assert np.all(y > -1) and np.all(y < 1)
-        extreme = T.tanh(T.leaf(np.array([-1e6, 1e6]))).data
+        extreme = _tanh(np.array([-1e6, 1e6]))
         assert np.all(np.abs(extreme) <= 1.0)
 
     def test_add_requires_identical_shapes(self):
@@ -517,6 +531,28 @@ class TestConvBnRelu:
         assert np.allclose(mean, x.mean(), rtol=1e-12, atol=0)
         assert np.allclose(var, x.var(), rtol=1e-6, atol=0)
 
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    def test_graph_on_an_input_without_gradient_holds_one_output(self, rng, train):
+        # stem0's case: the output overwrites the conv output z, which the
+        # rule rebuilds from the input; with an input that needs a gradient
+        # the node keeps z as well
+        x = rng.standard_normal((4, 24, 24, 8)).astype(np.float32)
+        kernel = T.leaf(rng.standard_normal((3, 3, 8, 16)).astype(np.float32), True)
+        gamma, beta = (T.leaf(np.full(16, v, dtype=np.float32), True) for v in (1, 0))
+        stats = (np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32))
+        held = {}
+        for x_grad in (False, True):
+            xt = T.leaf(x, x_grad)
+            tracemalloc.start()
+            try:
+                out = T.conv_bn_relu(xt, kernel, gamma, beta, *stats, train)[0]
+                held[x_grad] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert out.needs_grad
+        size = out.data.nbytes  # one (B*W*H, C) array
+        assert held[False] < 1.5 * size < held[True], (held, size)
+
     def test_parameter_mismatch_rejected(self):
         x = T.leaf(np.zeros((1, 4, 4, 2)))
         k = T.leaf(np.zeros((3, 3, 2, 3)))
@@ -580,7 +616,7 @@ class TestBackward:
 
         def one_pass():
             p = T.leaf(pv, needs_grad=True)
-            loss = T.sum_all(T.square(T.tanh(p)))
+            loss = T.sum_all(T.square(T.sigmoid(p)))
             T.backward(loss)
             return p.grad.copy()
 
@@ -596,7 +632,7 @@ class TestBackward:
 
     def test_second_loss_through_a_freed_node_raises(self, rng):
         p = T.leaf(rng.standard_normal(4), needs_grad=True)
-        h = T.tanh(p)
+        h = T.sigmoid(p)
         T.backward(T.sum_all(h))
         with pytest.raises(ConfigurationError, match="freed"):
             T.backward(T.sum_all(T.square(h)))
@@ -609,7 +645,7 @@ class TestBackward:
 
     def test_unheld_interior_node_is_freed(self, rng):
         q = T.leaf(rng.standard_normal((4, 5)), needs_grad=True)
-        mid = T.tanh(q)
+        mid = T.sigmoid(q)
         mid_data = weakref.ref(mid.data)
         loss = T.sum_all(T.square(mid))
         del mid
@@ -622,8 +658,8 @@ class TestBackward:
         tracemalloc.start()
         try:
             h = p = T.leaf(np.linspace(-1.0, 1.0, n), needs_grad=True)
-            for op in (T.tanh, T.square, T.sigmoid, T.relu,
-                       T.tanh, T.square, T.sigmoid, T.tanh):
+            for op in (T.sigmoid, T.square, T.sigmoid, T.relu,
+                       T.sigmoid, T.square, T.sigmoid, T.sigmoid):
                 h = op(h)
             loss = T.sum_all(h)
             del h
@@ -685,13 +721,14 @@ class TestNoGrad:
     def test_nodes_keep_no_parents_and_no_rule(self, rng):
         p = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         with T.no_grad():
-            hidden = T.tanh(T.square(p))
+            hidden = T.sigmoid(T.square(p))
             out = T.sum_all(hidden)
         for node in (hidden, out):
             assert node.parents == ()
             assert node.backward_rule is None
             assert not node.needs_grad
-        assert np.array_equal(out.data, np.tanh(p.data * p.data).sum().reshape(()))
+        want = 0.5 * (np.tanh(0.5 * (p.data * p.data)) + 1.0)
+        assert np.array_equal(out.data, want.sum().reshape(()))
 
     def test_leaves_keep_needs_grad(self, rng):
         with T.no_grad():
@@ -706,22 +743,22 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with T.no_grad():
                 raise RuntimeError("inside")
-        out = T.tanh(p)
+        out = T.sigmoid(p)
         assert out.parents == (p,) and out.needs_grad
 
     def test_nesting_restores_the_outer_mode(self, rng):
         p = T.leaf(rng.standard_normal(3), needs_grad=True)
         with T.no_grad():
             with T.no_grad():
-                assert T.tanh(p).parents == ()
-            assert T.tanh(p).parents == ()
-        assert T.tanh(p).parents == (p,)
+                assert T.sigmoid(p).parents == ()
+            assert T.sigmoid(p).parents == ()
+        assert T.sigmoid(p).parents == (p,)
         mode = T.no_grad()
         with mode:
             with mode:
-                assert T.tanh(p).parents == ()
-            assert T.tanh(p).parents == ()
-        assert T.tanh(p).parents == (p,)
+                assert T.sigmoid(p).parents == ()
+            assert T.sigmoid(p).parents == ()
+        assert T.sigmoid(p).parents == (p,)
 
     def test_backward_rejects_a_loss_built_without_graph(self, rng):
         p = T.leaf(rng.standard_normal(3), needs_grad=True)
@@ -740,7 +777,8 @@ class TestNoGrad:
 def _tiny_model_arrays(config):
     """A tiny model's train step on five images (loss, capsules, every
     gradient, the BN running statistics), its no_grad forward and one align
-    sample, as a list of arrays."""
+    sample, as a list of arrays. Its walks include capsule_activation's and
+    stem0's conv_bn_relu, whose rule rebuilds z from the image."""
     net = ArCapsNet(config, seed=0)
     images = np.random.default_rng(1).random((5, 8, 8, 1), dtype=np.float32)
     labels = np.array([0, 1, 2, 0, 1])
