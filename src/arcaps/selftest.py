@@ -358,15 +358,18 @@ def _routing_oracle_check():
 
 
 # relative tolerance of a blocked weight or reference gradient, which sums
-# per block, against the sum of the per-image gradients (float64)
+# per block, against the sum of the per-image gradients, and of an output
+# that is not held bitwise against the one-image runs (float64)
 ROUTE_GRAD_SUM_RTOL = 1e-12
 
 
 def _blocked_op_probes():
     """(name, op, argument names, float64 arguments, one image's output
-    shape) of conv2d, capsule_activation and transform_route over 3 images
-    whose block rows (operand plus product) each take just under half the
-    real block budget, so each op runs in blocks of two images and one."""
+    shape, whether the output is held bitwise) of conv2d,
+    capsule_activation and transform_route (also with a frozen weight) over
+    3 images whose block rows (operand plus product) each take just under
+    half the real block budget, so each op runs in blocks of two images and
+    one."""
     rng = _rng(25)
     half = T.BLOCK_BYTES // (2 * 8)  # float64 values in half a budget
     # 4x4 capsules, 3x3 "same" at stride 2: 4 positions of patch and u rows
@@ -384,25 +387,39 @@ def _blocked_op_probes():
     k = half // (64 * 2) - 1
     activation = [rng.standard_normal((3, 8, 8, k, 2)),
                   rng.standard_normal((2, k, 1)) / np.sqrt(k), rng.standard_normal((2, 1))]
+    # 8x8 capsules of D=1, 3x3 "same" at stride 1: 64 patch (K=9) and u
+    # rows of M=2 input channels, routed to N=2 channels of E; the rule
+    # rebuilds u from the operand that it asks the GEMM's backward for.
+    # BLAS may sum this GEMM in another order for two images than for one,
+    # so the output is held to ROUTE_GRAD_SUM_RTOL, not bitwise
+    e = (half // (64 * 2) - 9) // 2
+    frozen = T.leaf(rng.standard_normal((2, 9, 2 * e)) / 3)
+    frozen_route = [rng.standard_normal((3, 8, 8, 1, 2)),
+                    rng.standard_normal((2, e, 2)) / np.sqrt(e)]
     return [
         ("conv2d", lambda *ts: T.conv2d(*ts, 1, "same"), ("input", "kernel", "bias"),
-         conv, (8, 8, 2)),
+         conv, (8, 8, 2), True),
         ("capsule_activation", T.capsule_activation, ("input", "weight", "bias"),
-         activation, (8, 8, 1, 2)),
+         activation, (8, 8, 1, 2), True),
         ("transform_route", lambda *ts: T.transform_route(*ts, (3, 3), 2, "same"),
-         ("caps", "weight", "reference"), route, (2, 2, 1, 2)),
+         ("caps", "weight", "reference"), route, (2, 2, 1, 2), True),
+        ("transform_route (frozen weight)",
+         lambda caps, ref: T.transform_route(caps, frozen, ref, (3, 3), 1, "same"),
+         ("caps", "reference"), frozen_route, (8, 8, e, 2), False),
     ]
 
 
 def _blocked_ops_check():
-    """conv2d, capsule_activation and transform_route at the real block budget,
-    in blocks of two images and one, against each image run alone (one
-    block each): the output bitwise, the input gradient bitwise (reported,
-    and otherwise held to ROUTE_GRAD_SUM_RTOL), and every other gradient
-    within ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the blocked
-    transform_route output also against the loop oracle."""
+    """conv2d, capsule_activation and transform_route (also with a frozen
+    weight) at the real block budget, in blocks of two images and one,
+    against each image run alone (one block each): the output bitwise
+    (the frozen weight's reported, and otherwise held to
+    ROUTE_GRAD_SUM_RTOL), the input gradient bitwise (reported, and
+    otherwise held to ROUTE_GRAD_SUM_RTOL), and every other gradient
+    within ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the
+    blocked transform_route output also against the loop oracle."""
     report = []
-    for name, op, arg_names, arrays, out_shape in _blocked_op_probes():
+    for name, op, arg_names, arrays, out_shape, exact in _blocked_op_probes():
         marker = _marker((3,) + out_shape)
 
         def run(lo, hi):
@@ -414,8 +431,17 @@ def _blocked_ops_check():
             return [out.data] + [t.grad for t in leaves]
 
         blocked, alone = run(0, 3), [run(i, i + 1) for i in range(3)]
-        if not np.array_equal(blocked[0], np.concatenate([r[0] for r in alone])):
+        joined = np.concatenate([r[0] for r in alone])
+        same = np.array_equal(blocked[0], joined)
+        if exact and not same:
             raise ComputationError(f"{name} blocks differ from one-image runs")
+        if not exact:
+            gap = float(np.max(np.abs(blocked[0] - joined)) / np.max(np.abs(joined)))
+            if gap > ROUTE_GRAD_SUM_RTOL:
+                raise ComputationError(
+                    f"blocked {name} output is {gap:.2e} (relative) off the one-image "
+                    f"runs, over {ROUTE_GRAD_SUM_RTOL:.0e}")
+            report.append(f"{name} output {'' if same else 'not '}bitwise")
         x_grad = np.concatenate([r[1] for r in alone])
         wants = [x_grad] + [sum(r[i] for r in alone) for i in range(2, len(blocked))]
         for arg, got, want in zip(arg_names, blocked[1:], wants):

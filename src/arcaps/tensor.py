@@ -32,10 +32,10 @@ copy, and under no_grad the ops reuse block-sized buffers in place of the
 whole-batch arrays only a backward rule would read. Its backward walks
 the same blocks and extracts each block's operand again, so besides each
 node's output a graph keeps only what backward reads and a GEMM would not
-cheaply rebuild: transform_route's u and routing weights a, and
-conv_bn_relu's conv output z when its input needs a gradient (stem0's z,
-over the image, is rebuilt per block with a GEMM of K = 9). Each op adds
-only its own epilogue and gradient step.
+cheaply rebuild: conv_bn_relu's conv output z when its input needs a
+gradient (stem0's z, over the image, is rebuilt per block with a GEMM of
+K = 9). transform_route's rule rebuilds each block's u and routing
+weights. Each op adds only its own epilogue and gradient step.
 
 The blocks of a walk may run on worker threads (``_walk``), one per CPU
 that BLAS leaves idle: the usable CPUs over the BLAS threads that
@@ -266,7 +266,7 @@ def affine(x, scale=1.0, shift=0.0):
     """scale * x + shift with python-scalar coefficients."""
 
     def rule(out):
-        x.accumulate_grad(out.grad * scale)
+        x.accumulate_grad(out.grad * scale, owned=True)
 
     return Tensor(x.data * scale + shift, (x,), rule)
 
@@ -276,14 +276,14 @@ def scale_by(x, factor):
     factor = np.asarray(factor, dtype=x.dtype)
 
     def rule(out):
-        x.accumulate_grad(out.grad * factor)
+        x.accumulate_grad(out.grad * factor, owned=True)
 
     return Tensor(x.data * factor, (x,), rule)
 
 
 def relu(x):
     def rule(out):
-        x.accumulate_grad(out.grad * (x.data > 0))
+        x.accumulate_grad(out.grad * (x.data > 0), owned=True)
 
     return Tensor(np.maximum(x.data, 0), (x,), rule)
 
@@ -293,21 +293,21 @@ def sigmoid(x):
     y = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
 
     def rule(out):
-        x.accumulate_grad(out.grad * y * (1.0 - y))
+        x.accumulate_grad(out.grad * y * (1.0 - y), owned=True)
 
     return Tensor(y, (x,), rule)
 
 
 def square(x):
     def rule(out):
-        x.accumulate_grad(out.grad * (2.0 * x.data))
+        x.accumulate_grad(out.grad * (2.0 * x.data), owned=True)
 
     return Tensor(x.data * x.data, (x,), rule)
 
 
 def sum_all(x):
     def rule(out):
-        x.accumulate_grad(np.full_like(x.data, out.grad.reshape(-1)[0]))
+        x.accumulate_grad(np.full_like(x.data, out.grad.reshape(-1)[0]), owned=True)
 
     return Tensor(x.data.sum(dtype=x.dtype).reshape(()), (x,), rule)
 
@@ -336,9 +336,9 @@ def matmul(x, w, bias=None):
 
     def rule(node):
         if x.needs_grad:
-            x.accumulate_grad(node.grad @ w.data.T)
+            x.accumulate_grad(node.grad @ w.data.T, owned=True)
         if w.needs_grad:
-            w.accumulate_grad(x.data.T @ node.grad)
+            w.accumulate_grad(x.data.T @ node.grad, owned=True)
         if bias is not None and bias.needs_grad:
             bias.accumulate_grad(node.grad.sum(axis=0))
 
@@ -357,7 +357,7 @@ def capsule_norm(x):
 
     def rule(out):
         safe = np.where(n > 0, n, 1.0)
-        x.accumulate_grad(out.grad[:, None, :] * x.data / safe[:, None, :])
+        x.accumulate_grad(out.grad[:, None, :] * x.data / safe[:, None, :], owned=True)
 
     return Tensor(n, (x,), rule)
 
@@ -536,7 +536,9 @@ class _WindowGemm:
 
     A block holds as many images as _image_blocks fits for their operand
     rows plus their product rows. The backward holds no operand: it
-    extracts each block's again. ``parents`` are (x, weight[, bias]).
+    extracts each block's again, for the weight gradient and for an op
+    whose rule rebuilds the block's product from it. ``parents`` are
+    (x, weight[, bias]).
 
     Both directions are a _walk: when BLAS leaves CPUs idle, the blocks run
     on worker threads, each slot with its own set of the reused buffers,
@@ -618,12 +620,14 @@ class _WindowGemm:
         _walk(self.blocks, work, fold)
         return outs[0] if whole else None
 
-    def backward(self, grad, dtype, fold=None):
+    def backward(self, grad, dtype, fold=None, operand=False):
         """Accumulate the weight, bias and input gradients, block by block in
         a _walk, from grad(slot, lo, hi, op): the (M, rows, C) gradient, of
         ``dtype``, of a block's product, or with ``fold`` a pair (gradient,
         part) whose part ``fold`` takes. ``op`` is the block's operand when
-        the walk extracts it (the weight needs a gradient), else None.
+        the walk extracts it, else None: it does when the weight needs a
+        gradient or the op asks for it (``operand``), to rebuild the block's
+        product from it.
 
         A block's worker extracts its operand again for its weight gradient
         and sums its bias gradient; the calling thread adds both to their
@@ -635,7 +639,7 @@ class _WindowGemm:
         """
         x, weight, bias = self.x, self.weight, self.bias
         slots = _slots(self.blocks)
-        ops = self.operand_buffers(slots) if weight.needs_grad else None
+        ops = self.operand_buffers(slots) if weight.needs_grad or operand else None
         bias_grad = bias is not None and bias.needs_grad
         gxd = _5d(x.grad) if x.needs_grad else None
         st, (kw, kh) = self.stride, self.ksize
@@ -643,7 +647,8 @@ class _WindowGemm:
         if gxd is not None:
             gx_dtype = np.result_type(dtype, self.w)
             # the patch gradient goes into the slot's operand buffer, which
-            # the weight gradient has read by then, when the dtypes agree
+            # grad and the weight gradient have read by then, when the
+            # dtypes agree
             gbufs = ([buf for buf, _ in ops] if ops is not None and ops[0][0].dtype == gx_dtype
                      else [np.empty((self.m, self.step, self.k), dtype=gx_dtype)
                            for _ in range(slots)])
@@ -659,7 +664,7 @@ class _WindowGemm:
             op = None if ops is None else self.operand(ops[slot], lo, hi)
             g = grad(slot, lo, hi, op)
             g, part = g if fold is not None else (g, None)
-            wg = None if op is None else op.transpose(0, 2, 1) @ g
+            wg = op.transpose(0, 2, 1) @ g if weight.needs_grad else None
             bg = g.sum(axis=1) if bias_grad else None
             if gxd is None:
                 return wg, bg, part
@@ -746,12 +751,13 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     the conv output z. When x needs none (stem0, whose input is the image),
     the output overwrites z, as without a graph, and the rule rebuilds each
     block's z with one GEMM from the block's patches, the forward's GEMM
-    and so its bits; the conv backward's walk hands it the patches it
-    extracts for the kernel gradient. The rule normalizes z block by block,
-    takes the relu mask from out > 0, sums the blocks' gradient terms in
-    block order and feeds each block's gradient of z straight into the conv
-    backward. Returns (out, batch_mean, batch_var): the statistics are None
-    in infer mode, and the caller updates the running statistics.
+    and so its bits: its statistics walk extracts them itself, and the conv
+    backward's walk hands them over on request. The rule normalizes z
+    block by block, takes the relu mask from out > 0, sums the blocks'
+    gradient terms in block order and feeds each block's gradient of z
+    straight into the conv backward. Returns (out, batch_mean, batch_var):
+    the statistics are None in infer mode, and the caller updates the
+    running statistics.
     """
     _check_conv("conv_bn_relu", x, kernel, None)
     c = kernel.shape[3]
@@ -817,17 +823,14 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             zbufs = [np.empty(size, dtype=gemm.dtype) for _ in range(slots)]
 
         def conv_out(slot, lo, hi, op):
-            """The block's z: kept, or rebuilt from its operand ``op`` (extracted
-            into the slot's buffers when None)."""
+            """The block's z: kept, or rebuilt from its operand ``op``."""
             if z is not None:
                 return z[span(lo, hi)]
-            if op is None:
-                op = gemm.operand(ops[slot], lo, hi)
             zb = _head(zbufs[slot], (1, op.shape[1], c))
             np.matmul(op, gemm.w, out=zb)
             return zb[0]
 
-        def relu_grad(slot, lo, hi, op=None):
+        def relu_grad(slot, lo, hi, op):
             """The block's g * (out > 0) and normalized z, in the slot's buffers."""
             rows, (mask, gy, xhat) = span(lo, hi), bufs[slot]
             shape = (rows.stop - rows.start, c)
@@ -838,7 +841,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             return gy, xhat
 
         def block_sums(slot, lo, hi):
-            gy, xhat = relu_grad(slot, lo, hi)
+            op = None if z is not None else gemm.operand(ops[slot], lo, hi)
+            gy, xhat = relu_grad(slot, lo, hi, op)
             return gy.sum(axis=0), np.einsum("ij,ij->j", gy, xhat)
 
         sum_gy = np.zeros(c, dtype=gemm.dtype)
@@ -866,7 +870,7 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             gz *= s
             return gz[None]
 
-        gemm.backward(conv_grad, node.dtype)
+        gemm.backward(conv_grad, node.dtype, operand=z is None)
 
     out = Tensor(y.reshape(b, gemm.wo, gemm.ho, c), parents, rule)
     return (out, mu, var) if train else (out, None, None)
@@ -951,18 +955,21 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     u is the product of a _WindowGemm, whose blocks may grow to the size of
     the weight, so a small layer's GEMMs do not re-read a large weight once
     per block. u stays in the (M, rows, N, E) layout, so every sum over
-    input channels reduces the leading axis; the logits and the weighted sum
-    go through block-sized buffers, the latter into the block's rows of the
-    output. With a graph the blocks fill the whole-batch u (M, P, N, E) and
-    a (M, P, N), with P = B*Wo*Ho, which the rule keeps, because rebuilding
-    u costs a GEMM; without one they reuse block-sized buffers, so the
-    output is the only whole-batch array.
+    input channels reduces the leading axis; u, the logits and the weighted
+    sum go through block-sized buffers, the last into the block's rows of
+    the output. A graph keeps only the output: no whole-batch u
+    (M, P, N, E), P = B*Wo*Ho, and no routing weights a, which the rule
+    rebuilds at the cost of one GEMM per block.
 
-    The rule walks the same blocks. Per block it takes the softmax backward
-    and the block's part of the reference gradient, which the calling thread
-    adds in block order, and hands the GEMM's backward the gradient of u,
+    The rule walks the same blocks. Per block it rebuilds u with the
+    forward's GEMM from the operand that the GEMM's backward extracts on
+    request, and a from u with the forward's own ``weights``, so both have
+    the forward's bits. It takes the softmax backward and the block's part
+    of the reference gradient, which the calling thread adds in block
+    order, and hands the GEMM's backward the gradient of u,
     gu = a*g + gl*reference (the weighted sum's term and the logits'), each
-    term built in a block buffer of its own.
+    term built in a block buffer of its own; u shares the buffer of
+    gl*reference, which it no longer needs by then.
 
     Returns the pre-activation capsules (B, Wo, Ho, E, N).
     """
@@ -982,55 +989,61 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     gemm = _WindowGemm(caps, weight, None, ksize, stride, padding)
     p, step, slots = b * gemm.rows, gemm.step, _slots(gemm.blocks)
     parents = gemm.parents + (reference,)
-    graph = _graph(*parents)
     ref = reference.data.transpose(2, 0, 1)  # (m, n, e)
     routed = np.result_type(gemm.dtype, ref)
-    a = np.empty((m, p, n), dtype=routed) if graph else None
     # einsum writes the (rows, N, E) weighted sum about 4x faster into a
     # contiguous buffer than into the output's transposed view
     bufs = [(np.empty(m * step * n, dtype=routed), np.empty((step, n, e), dtype=routed))
             for _ in range(slots)]
     out = np.empty((p, e, n), dtype=routed)
 
-    def route(slot, lo, hi, bu):
-        r = gemm.span(lo, hi)
-        bu = bu.reshape(m, -1, n, e)
-        logit_buf, wsum = bufs[slot]
-        logits = np.einsum("mpne,mne->mpn", bu, ref, out=_head(logit_buf, (m, bu.shape[1], n)))
+    def weights(bu, buf):
+        """The routing weights a (M, rows, N) of a block's u (M, rows, N, E),
+        in the block buffer ``buf``: softmax over m of the logits."""
+        logits = np.einsum("mpne,mne->mpn", bu, ref, out=_head(buf, bu.shape[:3]))
         if not np.all(np.isfinite(logits)):
             raise ComputationError("transform_route() produced non-finite routing logits")
-        ba = logits if a is None else a[:, r]
-        np.subtract(logits, logits.max(axis=0), out=ba)
-        np.exp(ba, out=ba)
-        ba /= ba.sum(axis=0)
+        np.subtract(logits, logits.max(axis=0), out=logits)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=0)
+        return logits
+
+    def route(slot, lo, hi, bu):
+        bu = bu.reshape(m, -1, n, e)
+        a_buf, wsum = bufs[slot]
+        ba = weights(bu, a_buf)
         bsum = wsum[: bu.shape[1]]
         np.einsum("mpn,mpne->pne", ba, bu, out=bsum)
-        np.copyto(out[r], bsum.transpose(0, 2, 1))
+        np.copyto(out[gemm.span(lo, hi)], bsum.transpose(0, 2, 1))
 
-    u = gemm.forward(route, whole=graph)
+    gemm.forward(route, whole=False)
 
     def rule(node):
-        gout, uu = node.grad.reshape(p, e, n), u.reshape(m, -1, n, e)
+        gout = node.grad.reshape(p, e, n)
         ref_grad = reference.needs_grad
         block_bufs = [[np.empty(size, dtype=routed)
-                       for size in (step * n * e, m * step * n, m * step * n, m * step * n * e,
-                                    m * step * n * e)]
+                       for size in (step * n * e, m * step * n, m * step * n, m * step * n,
+                                    m * step * n * e, m * step * n * e)]
                       for _ in range(slots)]
 
         def grad(slot, lo, hi, op):
             r = gemm.span(lo, hi)
             rows = r.stop - r.start
-            g_buf, ga_buf, gl_buf, gu_buf, gr_buf = block_bufs[slot]
+            g_buf, a_buf, ga_buf, gl_buf, gu_buf, gr_buf = block_bufs[slot]
+            # u, in the buffer of gl*reference: matmul computes in u's
+            # dtype, which the routed dtype holds exactly
+            bu = np.matmul(op, gemm.w, out=_head(gr_buf, (m, rows, n * e))).reshape(m, rows, n, e)
+            ba = weights(bu, a_buf)
             g = _head(g_buf, (rows, n, e))
             np.copyto(g, gout[r].transpose(0, 2, 1))
-            bu, ba = uu[:, r], a[:, r]
             # softmax backward: d logit = a * (d a - sum_m a * d a)
             ga = np.einsum("pne,mpne->mpn", g, bu, out=_head(ga_buf, (m, rows, n)))
             gl = np.multiply(ba, ga, out=_head(gl_buf, (m, rows, n)))
             ga -= gl.sum(axis=0)
             np.multiply(ba, ga, out=gl)
             part = np.einsum("mpn,mpne->nem", gl, bu) if ref_grad else None
-            # u feeds both the weighted sum and the logits
+            # u feeds both the weighted sum and the logits; its last read
+            # is above, so gl*reference may overwrite it
             gu = np.multiply(ba[..., None], g, out=_head(gu_buf, (m, rows, n, e)))
             gu += np.multiply(gl[..., None], ref[:, None], out=_head(gr_buf, gu.shape))
             return gu.reshape(m, rows, n * e), part
@@ -1039,7 +1052,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             if part is not None:
                 reference.accumulate_grad(part)
 
-        gemm.backward(grad, node.dtype, add_ref_grad)
+        gemm.backward(grad, node.dtype, add_ref_grad, operand=True)
 
     return Tensor(out.reshape(b, gemm.wo, gemm.ho, e, n), parents, rule)
 
@@ -1062,7 +1075,7 @@ def dropout(x, keep_prob, train, rng=None):
     def rule(node):
         gx = node.grad * keep
         gx *= scale
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, owned=True)
 
     out = x.data * keep
     out *= scale

@@ -78,6 +78,12 @@ def blocks_of_two(monkeypatch):
     return walked
 
 
+def saved_arrays(node):
+    """The arrays that a node's backward rule holds in its closure."""
+    return [c.cell_contents for c in node.backward_rule.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
 def corrupt_headers(raw):
     """Copies of the checkpoint bytes ``raw``, each with one corrupt header,
     as (bytes, pattern of the load error) pairs. Three declare a size far

@@ -6,6 +6,8 @@ tiny-model loss. The losses weight outputs with fixed random markers so a
 wrong-but-symmetric gradient cannot hide in a plain sum.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,42 @@ def test_transform_route_gradients(monkeypatch, seed, batch):
     check_gradients(
         _frozen_weight(rng, lambda ts: T.transform_route(ts[0], ts[1], ts[2], ksize, stride,
                                                          padding), arrays), arrays)
+
+
+# (caps shape (B, W, H), padding) of 3x3 windows: "same" ones, 16
+# positions per image, and a kernel covering the whole extent, one
+FROZEN_ROUTE_GEOMETRIES = {"same": ((5, 4, 4), "same"),
+                           "whole-extent": ((5, 3, 3), "valid")}
+ROUTE_ARGS = ("caps", "weight", "reference")
+FROZEN_SUBSETS = [frozen for size in range(3) for frozen in itertools.combinations(ROUTE_ARGS, size)]
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
+@pytest.mark.parametrize("geometry", FROZEN_ROUTE_GEOMETRIES)
+@pytest.mark.parametrize("frozen", FROZEN_SUBSETS,
+                         ids=["-".join(f) or "none" for f in FROZEN_SUBSETS])
+def test_transform_route_gradients_with_frozen_arguments(monkeypatch, frozen, geometry,
+                                                         workers):
+    # the arguments in ``frozen`` are constants: the rule must still rebuild
+    # u and the routing weights, and take the operand it rebuilds u from
+    # when the weight needs no gradient
+    shape, padding = FROZEN_ROUTE_GEOMETRIES[geometry]
+    rng = np.random.default_rng(170)
+    d, m, n, e = 2, 3, 2, 3
+    arrays = dict(caps=rng.standard_normal(shape + (d, m)),
+                  weight=rng.standard_normal((m, 9 * d, n * e)) / 3,
+                  reference=rng.standard_normal((n, e, m)))
+    blocks_of_two(monkeypatch)
+    monkeypatch.setattr(T, "_WORKERS", workers)
+    free = [arg for arg in ROUTE_ARGS if arg not in frozen]
+
+    def route(ts):
+        given = dict(zip(free, ts))
+        args = [given[arg] if arg in given else T.leaf(arrays[arg]) for arg in ROUTE_ARGS]
+        return T.transform_route(*args, (3, 3), 1, padding)
+
+    free_arrays = [arrays[arg] for arg in free]
+    check_gradients(_frozen_weight(rng, route, free_arrays), free_arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -18,7 +18,7 @@ from arcaps.model import (ArCapsNet, ModelConfig, count_parameters, margin_loss,
                           normalized_length, reconstruction_loss)
 from arcaps.train import evaluate, load_model, save_model
 from arcaps.config import RunConfig
-from conftest import blocks_of_two, corrupt_headers
+from conftest import blocks_of_two, corrupt_headers, saved_arrays
 
 
 MNIST_CONFIG = ModelConfig()
@@ -438,6 +438,24 @@ def test_default_train_step_builds_42_nodes(rng, node_log):
     node_log.clear()
     net.loss(images, np.array([3, 7]), train=True, rng=np.random.default_rng(0))
     assert len(node_log) == 42
+
+
+def test_default_train_graph_keeps_no_transform_route_u(rng):
+    # at B=100 convcaps0's u (M, P, N*E) is 40.1 MB and fullycaps' 1.0 MB:
+    # each rule rebuilds its u and routing weights block by block, so it
+    # keeps no more than its attention kernel
+    net = ArCapsNet(ModelConfig(), seed=0)
+    images = rng.random((100, 28, 28, 1), dtype=np.float32)
+    total, *_ = net.loss(images, rng.integers(0, 10, 100), train=True,
+                         rng=np.random.default_rng(0))
+    kept = {}
+    for node in T.topo_order(total):
+        for layer in ("convcaps0", "fullycaps"):
+            if node.parents[1:2] == (net.store[layer + ".transform"],):
+                kept[layer] = [a.nbytes for a in saved_arrays(node)]
+    assert sorted(kept) == ["convcaps0", "fullycaps"]
+    for layer, sizes in kept.items():
+        assert sum(sizes) <= net.store[layer + ".attention"].data.nbytes, (layer, sizes)
 
 
 def test_tensor_exports_exactly_the_ops_the_model_builds(rng, monkeypatch):

@@ -22,7 +22,7 @@ from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.model import ArCapsNet
 from arcaps.selftest import (batchnorm, oracle_banks, routing_weights, stem_composition,
                              stem_oracle_gap, stem_probe)
-from conftest import blocks_of_two, routing_logits
+from conftest import blocks_of_two, routing_logits, saved_arrays
 
 
 CONV_ORACLE_CASES = [
@@ -330,6 +330,26 @@ class TestBlockedOps:
         assert np.any(caps.grad != 0) and np.any(weight.grad != 0)
         assert peak - held < patches, (peak - held, patches)
 
+    def test_transform_route_graph_holds_no_u(self, rng):
+        # 3x3 "same" over 8x8 capsules of 8 channels, routed to 8 channels
+        # of 16: u = (M, P, N*E) spans at least 8 block budgets and is
+        # larger than the weight; the rule rebuilds each block's u and
+        # routing weights, so the node keeps only its output
+        w, d, m, n, e = 8, 8, 8, 8, 16
+        u_per_image = w * w * m * n * e * 4
+        batch = -(-8 * T.BLOCK_BYTES // u_per_image) + 1
+        caps = T.leaf(rng.standard_normal((batch, w, w, d, m)).astype(np.float32), True)
+        weight = T.leaf(rng.standard_normal((m, 9 * d, n * e)).astype(np.float32) * 0.1, True)
+        ref = T.leaf(rng.standard_normal((n, e, m)).astype(np.float32), True)
+        tracemalloc.start()
+        try:
+            out = T.transform_route(caps, weight, ref, (3, 3), 1, "same")
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.parents == (caps, weight, ref)
+        assert kept < out.data.nbytes + T.BLOCK_BYTES, (kept, out.data.nbytes)
+
     def test_capsule_activation_graph_holds_one_output(self, rng):
         # an output of at least 8 block budgets: the node keeps it and
         # neither the affine map's output before tanh nor a channel-first
@@ -591,9 +611,23 @@ class TestDropout:
     def test_rule_holds_a_boolean_mask(self, rng):
         x = T.leaf(rng.standard_normal((4, 5)).astype(np.float32), needs_grad=True)
         out = T.dropout(x, 0.6, True, np.random.default_rng(2))
-        saved = [c.cell_contents for c in out.backward_rule.__closure__
-                 if isinstance(c.cell_contents, np.ndarray)]
-        assert [a.dtype for a in saved] == [np.bool_]
+        assert [a.dtype for a in saved_arrays(out)] == [np.bool_]
+
+    def test_backward_hands_its_gradient_over(self, rng):
+        # the rule's g * mask * scale is a fresh array: it becomes x's first
+        # gradient as it is, with no second gradient-sized copy
+        x = T.leaf(rng.standard_normal(1 << 18).astype(np.float32), needs_grad=True)
+        out = T.dropout(x, 0.5, True, np.random.default_rng(3))
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        out.accumulate_grad(g)
+        tracemalloc.start()
+        try:
+            out.backward_rule(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes, (peak, x.data.nbytes)
+        assert np.array_equal(x.grad, np.where(out.data != 0, g * np.float32(2), 0))
 
     def test_invalid_keep_prob(self):
         with pytest.raises(ConfigurationError):
