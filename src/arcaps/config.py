@@ -60,6 +60,11 @@ class RunConfig:
     families: tuple = _setting("analyze.families", "strs", FAMILY_NAMES)
     dimensions: tuple = _setting("analyze.dimensions", "ints", ())
 
+    def __post_init__(self):
+        # every RNG stream is a SeedSequence of the seed, which takes no negative
+        if self.seed < 0:
+            raise ConfigurationError(f"train.seed must be >= 0, got {self.seed}")
+
     def resolved_data_dir(self):
         if self.data_dir:
             return self.data_dir

@@ -7,6 +7,7 @@ image is the column axis, the vertical axis the row axis.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +78,22 @@ def _read_be_u32(fh, path, what):
     return struct.unpack(">I", buf)[0]
 
 
+def _read_declared(fh, count, path, what):
+    """The ``count`` bytes of ``what`` that the header declares. A count
+    larger than what is left of the file is refused, naming the offset,
+    before anything of that size is read or allocated."""
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if count > left:
+        raise InputDataError(
+            f"{path}: truncated {what} at offset {offset}: the header declares "
+            f"{count} bytes, but only {left} remain")
+    buf = fh.read(count)
+    if len(buf) != count:
+        raise InputDataError(f"{path}: truncated {what} at offset {offset + len(buf)}")
+    return buf
+
+
 def load_idx(images_path, labels_path, classes=10):
     """Parse an IDX image/label file pair into a Dataset.
 
@@ -93,11 +110,7 @@ def load_idx(images_path, labels_path, classes=10):
         count = _read_be_u32(fh, images_path, "image count")
         rows = _read_be_u32(fh, images_path, "row count")
         cols = _read_be_u32(fh, images_path, "column count")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise InputDataError(
-                f"{images_path}: truncated pixel data at offset {16 + len(raw)} "
-                f"(expected {count * rows * cols} bytes)")
+        raw = _read_declared(fh, count * rows * cols, images_path, "pixel data")
     with open(labels_path, "rb") as fh:
         magic = _read_be_u32(fh, labels_path, "magic")
         if magic != IDX_LABELS_MAGIC:
@@ -105,10 +118,7 @@ def load_idx(images_path, labels_path, classes=10):
                 f"{labels_path}: magic 0x{magic:08x} at offset 0 is not an "
                 f"IDX label file (expected 0x{IDX_LABELS_MAGIC:08x})")
         label_count = _read_be_u32(fh, labels_path, "label count")
-        raw_labels = fh.read(label_count)
-        if len(raw_labels) != label_count:
-            raise InputDataError(
-                f"{labels_path}: truncated label data at offset {8 + len(raw_labels)}")
+        raw_labels = _read_declared(fh, label_count, labels_path, "label data")
     if label_count != count:
         raise InputDataError(
             f"{images_path} holds {count} images but {labels_path} holds "

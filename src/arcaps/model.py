@@ -204,7 +204,7 @@ class ArCapsNet:
                 f"label out of range [0, {n}): {labels.min()}..{labels.max()}")
         mask = np.zeros((b, 1, n), dtype=capsules.dtype)
         mask[np.arange(b), 0, labels] = 1.0
-        masked = T.scale_by(capsules, mask)
+        masked = T.affine(capsules, mask)
         return self.decoder.forward(T.reshape(masked, (b, d * n)))
 
     def loss(self, images, labels, train=False, rng=None):
@@ -220,7 +220,6 @@ class ArCapsNet:
 def normalized_length(capsules):
     """Class scores in [0, 1]: capsule norm over sqrt(D)."""
     d = capsules.shape[1]
-    # a python float: an np.float64 scale would promote a float32 graph
     return T.affine(T.capsule_norm(capsules), 1.0 / math.sqrt(d))
 
 
@@ -239,7 +238,7 @@ def margin_loss(scores, labels, classes):
     present[np.arange(b), labels] = 1.0
     pos = T.square(T.relu(T.affine(scores, -1.0, M_PLUS)))
     neg = T.square(T.relu(T.affine(scores, 1.0, -M_MINUS)))
-    per_class = T.add(T.scale_by(pos, present), T.scale_by(neg, LOSS_LAMBDA * (1.0 - present)))
+    per_class = T.add(T.affine(pos, present), T.affine(neg, LOSS_LAMBDA * (1.0 - present)))
     return T.affine(T.sum_all(per_class), 1.0 / b)
 
 
@@ -248,7 +247,7 @@ def reconstruction_loss(decoded, target_pixels):
     if decoded.shape != target_pixels.shape:
         raise InputDataError(
             f"reconstruction shape {decoded.shape} != target {target_pixels.shape}")
-    diff = T.add(decoded, T.leaf(-target_pixels))
+    diff = T.affine(decoded, 1.0, -target_pixels)
     return T.affine(T.sum_all(T.square(diff)), 1.0 / diff.data.size)
 
 

@@ -105,7 +105,7 @@ def _marker(shape):
 def _weighted_sum(out):
     """sum(out * _marker(out.shape)): a scalar loss that weights every output
     element differently."""
-    return T.sum_all(T.scale_by(out, _marker(out.shape)))
+    return T.sum_all(T.affine(out, _marker(out.shape)))
 
 
 def stem_probe(rng, shape, cout, train, eps=1e-5):
@@ -427,7 +427,7 @@ def _blocked_ops_check():
             sum(out * marker)."""
             leaves = [T.leaf(arrays[0][lo:hi], True)] + [T.leaf(a, True) for a in arrays[1:]]
             out = op(*leaves)
-            T.backward(T.sum_all(T.scale_by(out, marker[lo:hi])))
+            T.backward(T.sum_all(T.affine(out, marker[lo:hi])))
             return [out.data] + [t.grad for t in leaves]
 
         blocked, alone = run(0, 3), [run(i, i + 1) for i in range(3)]

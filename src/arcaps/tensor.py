@@ -11,10 +11,12 @@ keeps its data and gradient, but a freed graph cannot be walked again.
 Parameters are leaf tensors whose ``data`` the optimizer updates in place
 between batches; their gradients accumulate across graphs until zeroed.
 
-The 15 ops are the ones the model builds: add, affine, scale_by, relu,
-sigmoid, square, sum_all, reshape, matmul, capsule_norm, dropout and the
-four blocked ops below, conv2d, conv_bn_relu, capsule_activation and
-transform_route.
+The 14 ops are the ones the model builds: add, affine, relu, sigmoid,
+square, sum_all, reshape, matmul, capsule_norm, dropout and the four
+blocked ops below, conv2d, conv_bn_relu, capsule_activation and
+transform_route. Each node is numbered as it is created, after its
+parents, so creation order is a topological order: backward runs the
+rules in reverse creation order.
 
 Inside ``with no_grad():`` ops build no graph: a node made from parents
 keeps neither them nor a backward rule, so inference frees each
@@ -61,6 +63,7 @@ capsule-dim, channel).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -78,6 +81,9 @@ BLOCK_BYTES = 2 << 20
 
 # depth of open no_grad blocks; graphs are built only at depth 0
 _no_grad_depth = 0
+
+# creation numbers of the nodes: a node's parents have smaller ones
+_creation = itertools.count()
 
 
 class no_grad:
@@ -110,7 +116,7 @@ def _building_graph():
 class Tensor:
     """A value in the autodiff graph."""
 
-    __slots__ = ("data", "_grad", "parents", "backward_rule", "needs_grad")
+    __slots__ = ("data", "_grad", "parents", "backward_rule", "needs_grad", "_created")
 
     def __init__(self, data, parents=(), backward_rule=None, needs_grad=None):
         data = np.asarray(data)
@@ -129,6 +135,7 @@ class Tensor:
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in self.parents)
         self.needs_grad = needs_grad
+        self._created = next(_creation)
 
     @property
     def shape(self):
@@ -178,32 +185,23 @@ def leaf(data, needs_grad=False, dtype=None):
 
 
 def topo_order(root):
-    """Reverse-topological order of the graph below ``root``.
+    """The nodes of the graph below ``root``, ``root`` included, in creation
+    order, a topological order with ``root`` last.
 
-    Iterative DFS; raises on cycles, which cannot arise from the public
-    constructors but would make backward() silently wrong.
+    Raises ComputationError when a node's parent is not older than the
+    node, the only shape a cycle can take; the public constructors cannot
+    make one, but it would make backward() silently wrong.
     """
-    order = []
-    state = {}  # id -> 1 in progress, 2 done
-    stack = [(root, iter(root.parents))]
-    state[id(root)] = 1
+    seen, stack = {root}, [root]
     while stack:
-        node, it = stack[-1]
-        advanced = False
-        for parent in it:
-            s = state.get(id(parent))
-            if s == 1:
+        node = stack.pop()
+        for parent in node.parents:
+            if parent._created >= node._created:
                 raise ComputationError("cycle detected in computation graph")
-            if s is None:
-                state[id(parent)] = 1
-                stack.append((parent, iter(parent.parents)))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            state[id(node)] = 2
-            order.append(node)
-    return order
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return sorted(seen, key=lambda node: node._created)
 
 
 def _freed(node):
@@ -262,23 +260,19 @@ def add(a, b):
     return Tensor(a.data + b.data, (a, b), rule)
 
 
-def affine(x, scale=1.0, shift=0.0):
-    """scale * x + shift with python-scalar coefficients."""
+def affine(x, scale, shift=None):
+    """scale * x + shift for constants (not differentiated): python scalars
+    or arrays broadcastable to ``x``, taken in its dtype. Without a shift it
+    adds nothing."""
+    scale = np.asarray(scale, dtype=x.dtype)
+    out = x.data * scale
+    if shift is not None:
+        out += np.asarray(shift, dtype=x.dtype)
 
-    def rule(out):
-        x.accumulate_grad(out.grad * scale, owned=True)
+    def rule(node):
+        x.accumulate_grad(node.grad * scale, owned=True)
 
-    return Tensor(x.data * scale + shift, (x,), rule)
-
-
-def scale_by(x, factor):
-    """Multiply by a constant array broadcastable to ``x`` (not differentiated)."""
-    factor = np.asarray(factor, dtype=x.dtype)
-
-    def rule(out):
-        x.accumulate_grad(out.grad * factor, owned=True)
-
-    return Tensor(x.data * factor, (x,), rule)
+    return Tensor(out, (x,), rule)
 
 
 def relu(x):
@@ -330,15 +324,15 @@ def matmul(x, w, bias=None):
         raise ConfigurationError(f"matmul() shapes incompatible: {x.shape} @ {w.shape}")
     if bias is not None and bias.shape != (w.shape[1],):
         raise ConfigurationError(f"matmul() bias shape {bias.shape} != ({w.shape[1]},)")
-    out = x.data @ w.data
+    out = np.matmul(x.data, w.data)
     if bias is not None:
         out += bias.data
 
     def rule(node):
         if x.needs_grad:
-            x.accumulate_grad(node.grad @ w.data.T, owned=True)
+            x.accumulate_grad(np.matmul(node.grad, w.data.T), owned=True)
         if w.needs_grad:
-            w.accumulate_grad(x.data.T @ node.grad, owned=True)
+            w.accumulate_grad(np.matmul(x.data.T, node.grad), owned=True)
         if bias is not None and bias.needs_grad:
             bias.accumulate_grad(node.grad.sum(axis=0))
 
@@ -537,8 +531,8 @@ class _WindowGemm:
     A block holds as many images as _image_blocks fits for their operand
     rows plus their product rows. The backward holds no operand: it
     extracts each block's again, for the weight gradient and for an op
-    whose rule rebuilds the block's product from it. ``parents`` are
-    (x, weight[, bias]).
+    whose rule rebuilds the block's product from it with product(), the
+    forward's own GEMM. ``parents`` are (x, weight[, bias]).
 
     Both directions are a _walk: when BLAS leaves CPUs idle, the blocks run
     on worker threads, each slot with its own set of the reused buffers,
@@ -597,6 +591,15 @@ class _WindowGemm:
         np.copyto(op.reshape(view.shape), view)
         return op
 
+    def product(self, op, out):
+        """The product of a block's operand ``op`` with the weight, plus the
+        bias, into ``out``, which it returns: the forward's GEMM, which a
+        rule that rebuilds a block's product calls for the same bits."""
+        np.matmul(op, self.w, out=out)
+        if self.bias is not None:
+            out += self.bias.data.reshape(self.m, 1, self.c)
+        return out
+
     def forward(self, each=None, fold=None, whole=True):
         """The product plus bias, block by block in a _walk: into its rows of
         a whole-batch (M, B*rows, C) array, which it returns, or (not
@@ -608,13 +611,10 @@ class _WindowGemm:
         rows = len(self.x.data) * self.rows if whole else self.step
         outs = [np.empty((self.m, rows, self.c), dtype=self.dtype)
                 for _ in range(1 if whole else slots)]
-        bias = None if self.bias is None else self.bias.data.reshape(self.m, 1, self.c)
 
         def work(slot, lo, hi):
             blk = outs[0][:, self.span(lo, hi)] if whole else outs[slot][:, self.span(0, hi - lo)]
-            np.matmul(self.operand(ops[slot], lo, hi), self.w, out=blk)
-            if bias is not None:
-                blk += bias
+            self.product(self.operand(ops[slot], lo, hi), blk)
             return None if each is None else each(slot, lo, hi, blk)
 
         _walk(self.blocks, work, fold)
@@ -664,7 +664,7 @@ class _WindowGemm:
             op = None if ops is None else self.operand(ops[slot], lo, hi)
             g = grad(slot, lo, hi, op)
             g, part = g if fold is not None else (g, None)
-            wg = op.transpose(0, 2, 1) @ g if weight.needs_grad else None
+            wg = np.matmul(op.transpose(0, 2, 1), g) if weight.needs_grad else None
             bg = g.sum(axis=1) if bias_grad else None
             if gxd is None:
                 return wg, bg, part
@@ -750,8 +750,8 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
     With a graph, the node holds its output and, when x needs a gradient,
     the conv output z. When x needs none (stem0, whose input is the image),
     the output overwrites z, as without a graph, and the rule rebuilds each
-    block's z with one GEMM from the block's patches, the forward's GEMM
-    and so its bits: its statistics walk extracts them itself, and the conv
+    block's z from the block's patches with the forward's GEMM
+    (``product``) and so its bits: its statistics walk extracts them itself, and the conv
     backward's walk hands them over on request. The rule normalizes z
     block by block, takes the relu mask from out > 0, sums the blocks'
     gradient terms in block order and feeds each block's gradient of z
@@ -826,9 +826,7 @@ def conv_bn_relu(x, kernel, gamma, beta, running_mean, running_var, train, eps=1
             """The block's z: kept, or rebuilt from its operand ``op``."""
             if z is not None:
                 return z[span(lo, hi)]
-            zb = _head(zbufs[slot], (1, op.shape[1], c))
-            np.matmul(op, gemm.w, out=zb)
-            return zb[0]
+            return gemm.product(op, _head(zbufs[slot], (1, op.shape[1], c)))[0]
 
         def relu_grad(slot, lo, hi, op):
             """The block's g * (out > 0) and normalized z, in the slot's buffers."""
@@ -962,7 +960,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
     rebuilds at the cost of one GEMM per block.
 
     The rule walks the same blocks. Per block it rebuilds u with the
-    forward's GEMM from the operand that the GEMM's backward extracts on
+    forward's GEMM (``product``) from the operand that the GEMM's backward extracts on
     request, and a from u with the forward's own ``weights``, so both have
     the forward's bits. It takes the softmax backward and the block's part
     of the reference gradient, which the calling thread adds in block
@@ -1032,7 +1030,7 @@ def transform_route(caps, weight, reference, ksize, stride, padding):
             g_buf, a_buf, ga_buf, gl_buf, gu_buf, gr_buf = block_bufs[slot]
             # u, in the buffer of gl*reference: matmul computes in u's
             # dtype, which the routed dtype holds exactly
-            bu = np.matmul(op, gemm.w, out=_head(gr_buf, (m, rows, n * e))).reshape(m, rows, n, e)
+            bu = gemm.product(op, _head(gr_buf, (m, rows, n * e))).reshape(m, rows, n, e)
             ba = weights(bu, a_buf)
             g = _head(g_buf, (rows, n, e))
             np.copyto(g, gout[r].transpose(0, 2, 1))

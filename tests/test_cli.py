@@ -301,6 +301,16 @@ class TestFlagResolution:
             assert main(["analyze-align", "--checkpoint", checkpoint, "--samples", "50"]) == 0
         assert "mean alignment ratio over 12 samples:" in capsys.readouterr().out
 
+    def test_negative_seed_is_usage_error(self, checkpoint, tmp_path, capsys):
+        # np.random.SeedSequence takes no negative seed: the flag and the
+        # config key are refused as the key, before any RNG is seeded
+        assert main(["analyze-align", "--checkpoint", checkpoint, "--seed", "-1"]) == 1
+        assert "error: train.seed must be >= 0, got -1" in capsys.readouterr().err
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("train.seed = -1\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "error: train.seed must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_analyze_align_samples_below_one_is_data_error(self, checkpoint, capsys, samples):
         assert main(["analyze-align", "--checkpoint", checkpoint, "--samples", samples]) == 2

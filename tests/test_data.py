@@ -53,6 +53,25 @@ class TestLoadIdx:
         with pytest.raises(InputDataError, match="truncated"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("count, rows, cols", [(0xFFFFFFFF, 0xFFFF, 0xFFFF),
+                                                   (1 << 31, 28, 28)])
+    def test_oversized_pixel_count_refused_before_reading(self, tmp_path, count, rows, cols):
+        # the declared byte count would overflow a read or exhaust memory
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        img.write_bytes(struct.pack(">IIII", 0x00000803, count, rows, cols) + bytes(4))
+        with pytest.raises(InputDataError,
+                           match=f"truncated pixel data at offset 16: the header declares "
+                                 f"{count * rows * cols} bytes, but only 4 remain"):
+            load_idx(img, lbl)
+
+    def test_oversized_label_count_refused_before_reading(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        lbl.write_bytes(struct.pack(">II", 0x00000801, 0xFFFFFFFF) + bytes(1))
+        with pytest.raises(InputDataError,
+                           match=f"truncated label data at offset 8: the header declares "
+                                 f"{0xFFFFFFFF} bytes, but only 1 remain"):
+            load_idx(img, lbl)
+
     def test_count_mismatch_rejected(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
         _, lbl3 = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8),

@@ -27,7 +27,7 @@ def _frozen_weight(rng, forward, arrays):
     """Fix a random weighting of the op output so the loss is a pure function."""
     probe = forward([T.leaf(a) for a in arrays])
     marker = rng.standard_normal(probe.shape)
-    return lambda ts: T.sum_all(T.scale_by(forward(ts), marker))
+    return lambda ts: T.sum_all(T.affine(forward(ts), marker))
 
 
 CONV_GRADIENT_CASES = [(1, "same", 2), (2, "same", 2), (1, "valid", 2), (2, "valid", 2),
@@ -217,6 +217,19 @@ def test_add_mul_affine_gradients(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_affine_array_coefficient_gradients(seed):
+    rng = np.random.default_rng(65 + seed)
+    x = rng.standard_normal((3, 4))
+    scale, shift = rng.standard_normal((1, 4)), rng.standard_normal((3, 4))
+    check_gradients(_frozen_weight(rng, lambda ts: T.affine(ts[0], scale, shift), [x]), [x])
+    # float64 coefficients are taken in the dtype of a float32 graph
+    x32 = T.leaf(x.astype(np.float32), needs_grad=True)
+    out = T.affine(x32, scale, shift)
+    T.backward(T.sum_all(out))
+    assert out.dtype == np.float32 and x32.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("train", [True, False])
 def test_batchnorm_gradients(seed, train):
     rng = np.random.default_rng(70 + seed)
@@ -293,7 +306,7 @@ def test_reshape_gradients(seed):
     rng = np.random.default_rng(120 + seed)
     a = rng.standard_normal((2, 6))
     marker = rng.standard_normal((3, 4))
-    check_gradients(lambda ts: T.sum_all(T.scale_by(T.reshape(ts[0], (3, 4)), marker)), [a])
+    check_gradients(lambda ts: T.sum_all(T.affine(T.reshape(ts[0], (3, 4)), marker)), [a])
 
 
 def test_end_to_end_tiny_model():

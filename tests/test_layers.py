@@ -432,7 +432,7 @@ def test_end_to_end_conv_caps_gradient(rng):
         for (name, t), arr in zip(store.items(), arrays):
             t.data = arr
         out = layer.forward(T.leaf(u), train=False)
-        return T.sum_all(T.scale_by(out, marker))
+        return T.sum_all(T.affine(out, marker))
 
     arrays = [t.data.copy() for _, t in store.items()]
     store.zero_grads()

@@ -428,16 +428,18 @@ def test_float32_train_step_graph_is_float32(rng, tiny_config):
     assert not wrong, f"{len(wrong)} of {len(nodes)} nodes are not float32: {wrong[:3]}"
 
 
-def test_default_train_step_builds_42_nodes(rng, node_log):
+def test_default_train_step_builds_41_nodes(rng, node_log):
     # one conv_bn_relu node per stem block, where conv2d, batchnorm and relu
     # took three, one capsule_activation node per capsule layer, where
-    # channel_affine and tanh took two, and one matmul node per decoder
-    # layer, bias included; perfbench's tensor.nodes counts the same nodes
+    # channel_affine and tanh took two, one matmul node per decoder layer,
+    # bias included, and no leaf for the reconstruction target, which
+    # affine subtracts as a constant; perfbench's tensor.nodes counts the
+    # same nodes
     net = ArCapsNet(ModelConfig(), seed=0)
     images = rng.random((2, 28, 28, 1), dtype=np.float32)
     node_log.clear()
     net.loss(images, np.array([3, 7]), train=True, rng=np.random.default_rng(0))
-    assert len(node_log) == 42
+    assert len(node_log) == 41
 
 
 def test_default_train_graph_keeps_no_transform_route_u(rng):

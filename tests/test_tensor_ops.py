@@ -72,7 +72,7 @@ class TestConv2d:
         marker = rng.standard_normal((batch, w, w, cout)).astype(np.float32)
         tracemalloc.start()
         try:
-            T.backward(T.sum_all(T.scale_by(T.conv2d(x, kern, bias, 1, "same"), marker)))
+            T.backward(T.sum_all(T.affine(T.conv2d(x, kern, bias, 1, "same"), marker)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,7 +211,7 @@ class TestBlockedOps:
 
         def x_grad(*terms):
             xt = T.leaf(x, needs_grad=True)
-            losses = [T.sum_all(T.scale_by(op(xt), marker)) if term == "op" else
+            losses = [T.sum_all(T.affine(op(xt), marker)) if term == "op" else
                       T.sum_all(T.square(xt)) for term in terms]
             T.backward(T.add(*losses) if len(losses) == 2 else losses[0])
             return xt.grad
@@ -317,7 +317,7 @@ class TestBlockedOps:
         try:
             out = T.transform_route(caps, weight, ref, (3, 3), 1, "same")
             kept = tracemalloc.get_traced_memory()[0]
-            loss = T.sum_all(T.scale_by(out, marker))
+            loss = T.sum_all(T.affine(out, marker))
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             T.backward(loss)
@@ -707,6 +707,27 @@ class TestBackward:
         assert peak < forward + 4 * size, (peak, forward)
         assert p.grad.shape == (n,)
 
+    def test_topo_order_is_creation_order(self, rng):
+        # the root's first parent is its newer branch, which a depth-first
+        # walk would list before the older one
+        a = T.leaf(rng.standard_normal(3), needs_grad=True)
+        b = T.sigmoid(a)
+        c = T.square(a)
+        root = T.add(c, b)
+        assert T.topo_order(root) == [a, b, c, root]
+
+    def test_parent_newer_than_its_node_raises(self, rng):
+        # creation order is a topological order only while every parent is
+        # older than its node; a cycle breaks that too
+        old = T.leaf(rng.standard_normal(3), needs_grad=True)
+        new = T.sigmoid(T.leaf(rng.standard_normal(3), needs_grad=True))
+        old.parents = (new,)
+        with pytest.raises(ComputationError, match="cycle"):
+            T.topo_order(T.sum_all(old))
+        new.parents = (old,)
+        with pytest.raises(ComputationError, match="cycle"):
+            T.backward(T.sum_all(new))
+
     def test_rank_limit_enforced(self):
         with pytest.raises(ConfigurationError):
             T.leaf(np.zeros((1, 1, 1, 1, 1, 1)))
@@ -726,7 +747,7 @@ class TestAccumulateGrad:
         a = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         b = T.leaf(rng.standard_normal((3, 4)), needs_grad=True)
         out = T.add(a, b)
-        T.backward(T.sum_all(T.scale_by(out, rng.standard_normal((3, 4)))))
+        T.backward(T.sum_all(T.affine(out, rng.standard_normal((3, 4)))))
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, out.grad)
         assert not np.shares_memory(b.grad, out.grad)
@@ -735,7 +756,7 @@ class TestAccumulateGrad:
     def test_reshape_first_gradient_is_a_copy(self, rng):
         p = T.leaf(rng.standard_normal((2, 6)), needs_grad=True)
         out = T.reshape(p, (3, 4))
-        T.backward(T.sum_all(T.scale_by(out, rng.standard_normal((3, 4)))))
+        T.backward(T.sum_all(T.affine(out, rng.standard_normal((3, 4)))))
         assert not np.shares_memory(p.grad, out.grad)
         assert np.array_equal(p.grad, out.grad.reshape(2, 6))
 
