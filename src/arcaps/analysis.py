@@ -85,6 +85,13 @@ def relative_ratios(diffs, align, eps=1e-12):
     return ratios, np.nonzero(~keep)[0].tolist()
 
 
+def _check_seed(seed):
+    """A negative seed is an InputDataError: it seeds a SeedSequence, which
+    takes no negative."""
+    if seed < 0:
+        raise InputDataError(f"seed must be >= 0, got {seed}")
+
+
 def random_baseline(dim=32, vectors=5, trials=1000, seed=0):
     """Reference ratio statistics for independent standard-normal vectors.
 
@@ -100,6 +107,7 @@ def random_baseline(dim=32, vectors=5, trials=1000, seed=0):
 
     Returns (mean, std) over all trials * vectors ratios.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([0xBA5E, seed]))
     out = []
     for _ in range(trials):
@@ -120,6 +128,7 @@ def random_baseline_fitted(dim=32, vectors=5, trials=1000, seed=0):
     This is the statistically matched reference for trained-vs-untrained
     comparisons. Returns (mean, std).
     """
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([0xBA5E, seed]))
     out = []
     for _ in range(trials):
@@ -214,10 +223,11 @@ def alignment_experiment(model: ArCapsNet, dataset, sample_count=10000,
     Samples without replacement (clamping to the dataset size with a
     warning), computes the per-family align vector and ratios per image,
     and aggregates means per (digit, family) into a digit-by-family table.
-    A sample_count below 1 is an InputDataError.
+    A sample_count below 1 or a negative seed is an InputDataError.
     """
     if sample_count < 1:
         raise InputDataError(f"sample_count must be >= 1, got {sample_count}")
+    _check_seed(seed)
     count = len(dataset)
     if sample_count > count:
         warnings.warn(

@@ -95,6 +95,9 @@ class ArCapsNet:
         """``init=False`` draws nothing: the weights are left uninitialised
         for a caller that loads every parameter (``train.load_model``)."""
         config.validate()
+        if seed < 0:
+            # it seeds a SeedSequence, which takes no negative
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.config = config
         self.dtype = dtype
         self.store = ParameterStore()

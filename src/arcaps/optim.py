@@ -56,7 +56,9 @@ class ParameterStore:
     def load_state(self, arrays):
         """Overwrite parameter values from a name -> array mapping.
 
-        An array already of the parameter's dtype is taken as is, not copied.
+        A writeable array already of the parameter's dtype is taken as is,
+        not copied. A read-only one is copied, as rmsprop_step updates the
+        parameters in place.
         """
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
@@ -70,7 +72,8 @@ class ParameterStore:
                 raise ConfigurationError(
                     f"parameter {n!r} shape {src.shape} != expected {t.data.shape}"
                 )
-            t.data = np.asarray(src, dtype=t.data.dtype)
+            data = np.asarray(src, dtype=t.data.dtype)
+            t.data = data if data.flags.writeable else data.copy()
 
 
 class RmspropState:
@@ -95,12 +98,19 @@ def rmsprop_step(store: ParameterStore, state: RmspropState):
 
     acc <- rho * acc + (1 - rho) * g^2
     p   <- p - lr_t * g / (sqrt(acc) + epsilon)
+
+    Both update in place, in that operation order, through one scratch
+    array per parameter besides lr_t * g.
     """
     lr = state.learning_rate()
     for name, t in store.trainable_items():
-        g = t.grad
-        acc = state.acc[name]
+        g, acc = t.grad, state.acc[name]
         acc *= RHO
-        acc += (1.0 - RHO) * (g * g)
-        t.data = t.data - lr * g / (np.sqrt(acc) + EPSILON)
+        scratch = np.multiply(g, g)
+        scratch *= 1.0 - RHO
+        acc += scratch
+        np.sqrt(acc, out=scratch)
+        scratch += EPSILON
+        np.divide(lr * g, scratch, out=scratch)
+        t.data -= scratch
     state.step_count += 1

@@ -417,7 +417,8 @@ def _blocked_ops_check():
     ROUTE_GRAD_SUM_RTOL), the input gradient bitwise (reported, and
     otherwise held to ROUTE_GRAD_SUM_RTOL), and every other gradient
     within ROUTE_GRAD_SUM_RTOL of the sum of the per-image ones; the
-    blocked transform_route output also against the loop oracle."""
+    blocked transform_route output also against the loop oracle. Then a
+    block split by channel (_channel_split_check)."""
     report = []
     for name, op, arg_names, arrays, out_shape, exact in _blocked_op_probes():
         marker = _marker((3,) + out_shape)
@@ -460,7 +461,40 @@ def _blocked_ops_check():
                                                                                       ref))))
             if worst > 1e-6:
                 raise ComputationError(f"blocked transform_route oracle mismatch: {worst:.2e}")
+    report.append(_channel_split_check())
     return f"transform_route oracle worst {worst:.2e}; " + ", ".join(report)
+
+
+def _channel_split_check():
+    """A transform_route whose float64 weight exceeds the real block budget
+    (a whole-extent window, as fullycaps has) walks one block, split into
+    one channel group per worker of two whether or not BLAS is pinned: its
+    output and gradients bitwise against one group."""
+    rng = _rng(29)
+    # 6x6 capsules of D=8 in M=3 channels, routed to N=10 channels of E=32:
+    # a (3, 288, 320) weight of 2.2 MB, in uneven groups of 1 and 2 channels
+    arrays = [rng.standard_normal((2, 6, 6, 8, 3)),
+              rng.standard_normal((3, 288, 320)) / np.sqrt(288),
+              rng.standard_normal((10, 32, 3))]
+    runs, workers = [], T._WORKERS
+    try:
+        for count in (2, 1):
+            T._WORKERS = count
+            leaves = [T.leaf(a, True) for a in arrays]
+            out = T.transform_route(*leaves, (6, 6), 1, "valid")
+            groups = len(T._WindowGemm(leaves[0], leaves[1], None, (6, 6), 1, "valid").groups)
+            T.backward(_weighted_sum(out))
+            runs.append((groups, [out.data] + [t.grad for t in leaves]))
+    finally:
+        T._WORKERS = workers
+    (split, got), (one, want) = runs
+    if (split, one) != (2, 1):
+        raise ComputationError(
+            f"the channel-split probe ran in {split} and {one} groups, not 2 and 1")
+    for name, a, b in zip(("output", "caps", "weight", "reference"), got, want):
+        if a.tobytes() != b.tobytes():
+            raise ComputationError(f"channel-split transform_route {name} differs from one group")
+    return "channel-split transform_route bitwise"
 
 
 def _scalar_examples():

@@ -49,8 +49,13 @@ into buffers that the calling thread allocated, one set per worker. The
 calling thread takes the blocks' results in block order and does every
 step that depends on it (batchnorm's statistics, each weight, bias and
 reference gradient), so outputs and gradients are the same bits however
-many workers run. The pool starts with the first walk that uses it; a
-forked child starts its own.
+many workers run. One exception splits a walk of one block: a block that
+grew to a weight larger than the block budget (fullycaps) runs its patch
+copy, its GEMMs and its input-gradient scatter on the workers in groups
+of input channels, each writing its own channel slices, while its epilogue
+and gradient step stay on the calling thread; numpy runs one GEMM per
+channel either way, so the bits do not move. The pool starts with the
+first walk that uses it; a forked child starts its own.
 
 Values are float32 in normal operation. Creating leaves from float64
 arrays switches the whole downstream graph to float64, which is how the
@@ -537,7 +542,11 @@ class _WindowGemm:
     Both directions are a _walk: when BLAS leaves CPUs idle, the blocks run
     on worker threads, each slot with its own set of the reused buffers,
     and the calling thread adds every sum over blocks in block order, so
-    the bits do not depend on the worker count.
+    the bits do not depend on the worker count. A block's patch copy, its
+    GEMMs and its input-gradient scatter each run over a range m0..m1 of
+    input channels (by_channel): the whole range, except in a walk of one
+    block whose weight exceeds BLOCK_BYTES, which runs one channel group
+    per worker while its epilogue stays on the calling thread.
     """
 
     def __init__(self, x, weight, bias, ksize, stride, padding):
@@ -560,10 +569,26 @@ class _WindowGemm:
         self.blocks = _image_blocks(b, self.rows * self.m * (self.k + self.c) * x.data.itemsize,
                                     weight.data.nbytes)
         self.step = self.blocks[0][1] * self.rows
+        # a walk of one block that grew to its weight runs on one thread:
+        # its work splits into one channel group per worker instead
+        groups = (min(_WORKERS, self.m)
+                  if len(self.blocks) == 1 and weight.data.nbytes > BLOCK_BYTES else 1)
+        self.groups = [(self.m * i // groups, self.m * (i + 1) // groups) for i in range(groups)]
 
     def span(self, lo, hi):
         """The product rows of images lo..hi (of a block, from its first)."""
         return slice(lo * self.rows, hi * self.rows)
+
+    def by_channel(self, part):
+        """Run part(m0, m1) over the input channels m0..m1 of each group:
+        inline for one group, else as a _walk of one group per worker. Each
+        group writes its own channel slices of buffers that the calling
+        thread allocated; numpy's stacked matmul runs one GEMM per channel,
+        so the bits do not depend on the grouping."""
+        if len(self.groups) == 1:
+            part(0, self.m)
+        else:
+            _walk(self.groups, lambda slot, m0, m1: part(m0, m1))
 
     def operand_buffers(self, slots):
         """Per slot, the reused buffers of operand(): the (M, rows, K)
@@ -576,28 +601,38 @@ class _WindowGemm:
     def operand(self, bufs, lo, hi):
         """The (M, rows, K) operand of images lo..hi in a slot's buffers
         ``bufs``, copied from the (M, hi - lo, Wo, Ho, kw, kh, D) patch view
-        of the block (zero-padded first into the other buffer)."""
+        of the block (zero-padded first into the other buffer), by channel
+        group."""
         buf, xp = bufs
         src = _5d(self.x.data)[lo:hi]
-        if self.pad:
-            xp[: hi - lo][self.inner] = src
-            src = xp[: hi - lo]
-        s, st = src.strides, self.stride
-        view = as_strided(src, shape=(self.m, hi - lo, self.wo, self.ho, *self.ksize,
-                                      src.shape[3]),
-                          strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
-                          writeable=False)
         op = buf[:, self.span(0, hi - lo)]
-        np.copyto(op.reshape(view.shape), view)
+
+        def part(m0, m1):
+            block = src[..., m0:m1]
+            if self.pad:
+                xp[: hi - lo][self.inner][..., m0:m1] = block
+                block = xp[: hi - lo, ..., m0:m1]
+            s, st = block.strides, self.stride
+            view = as_strided(block, shape=(m1 - m0, hi - lo, self.wo, self.ho, *self.ksize,
+                                            block.shape[3]),
+                              strides=(s[4], s[0], s[1] * st, s[2] * st, s[1], s[2], s[3]),
+                              writeable=False)
+            np.copyto(op[m0:m1].reshape(view.shape), view)
+
+        self.by_channel(part)
         return op
 
     def product(self, op, out):
         """The product of a block's operand ``op`` with the weight, plus the
-        bias, into ``out``, which it returns: the forward's GEMM, which a
-        rule that rebuilds a block's product calls for the same bits."""
-        np.matmul(op, self.w, out=out)
-        if self.bias is not None:
-            out += self.bias.data.reshape(self.m, 1, self.c)
+        bias, into ``out``, which it returns, by channel group: the
+        forward's GEMM, which a rule that rebuilds a block's product calls
+        for the same bits."""
+        def part(m0, m1):
+            np.matmul(op[m0:m1], self.w[m0:m1], out=out[m0:m1])
+            if self.bias is not None:
+                out[m0:m1] += self.bias.data.reshape(self.m, 1, self.c)[m0:m1]
+
+        self.by_channel(part)
         return out
 
     def forward(self, each=None, fold=None, whole=True):
@@ -635,7 +670,12 @@ class _WindowGemm:
         the slot's operand buffer and scatter-adds it into the block's images
         of ``x.grad`` (taken before the walk), which no other block touches:
         one strided add per tap, through the slot's padded buffer when the
-        windows pad.
+        windows pad. The weight gradient, the input-gradient GEMM, the copy
+        of the patch gradient and the scatter run by channel group, into a
+        (M, K, C) weight gradient that the block's thread allocates and the
+        channel slices of the other buffers, so a split block's workers
+        allocate nothing: the weight gradient becomes the weight's
+        gradient uncopied.
         """
         x, weight, bias = self.x, self.weight, self.bias
         slots = _slots(self.blocks)
@@ -664,26 +704,35 @@ class _WindowGemm:
             op = None if ops is None else self.operand(ops[slot], lo, hi)
             g = grad(slot, lo, hi, op)
             g, part = g if fold is not None else (g, None)
-            wg = np.matmul(op.transpose(0, 2, 1), g) if weight.needs_grad else None
+            wg = (np.empty((self.m, self.k, self.c), dtype=np.result_type(op, g))
+                  if weight.needs_grad else None)
             bg = g.sum(axis=1) if bias_grad else None
-            if gxd is None:
-                return wg, bg, part
-            gx = gbufs[slot][:, self.span(0, hi - lo)]
-            np.matmul(g, self.w.transpose(0, 2, 1), out=gx)
-            gcols = np.moveaxis(gx.reshape(self.m, hi - lo, self.wo, self.ho, kw, kh, -1), 0, -1)
-            if dense is not None:
-                cols = _head(dense[slot], gcols.shape)
-                np.copyto(cols, gcols)
-                gcols = cols
-            dst = gxd[lo:hi]
-            acc = gxps[slot][: hi - lo] if self.pad else dst
-            if self.pad:
-                acc.fill(0)
-            for i in range(kw):
-                for j in range(kh):
-                    acc[:, i:i + span_w:st, j:j + span_h:st] += gcols[:, :, :, i, j]
-            if self.pad:
-                dst += acc[self.inner]
+            if gxd is not None:
+                gx = gbufs[slot][:, self.span(0, hi - lo)]
+                gcols = np.moveaxis(gx.reshape(self.m, hi - lo, self.wo, self.ho, kw, kh, -1),
+                                    0, -1)
+                cols = gcols if dense is None else _head(dense[slot], gcols.shape)
+                dst = gxd[lo:hi]
+                acc = gxps[slot][: hi - lo] if self.pad else dst
+
+            def channels(m0, m1):
+                if wg is not None:
+                    np.matmul(op[m0:m1].transpose(0, 2, 1), g[m0:m1], out=wg[m0:m1])
+                if gxd is None:
+                    return
+                np.matmul(g[m0:m1], self.w[m0:m1].transpose(0, 2, 1), out=gx[m0:m1])
+                src, into = cols[..., m0:m1], acc[..., m0:m1]
+                if dense is not None:
+                    np.copyto(src, gcols[..., m0:m1])
+                if self.pad:
+                    into.fill(0)
+                for i in range(kw):
+                    for j in range(kh):
+                        into[:, i:i + span_w:st, j:j + span_h:st] += src[:, :, :, i, j]
+                if self.pad:
+                    dst[..., m0:m1] += into[self.inner]
+
+            self.by_channel(channels)
             return wg, bg, part
 
         def take(parts):

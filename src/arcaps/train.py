@@ -169,6 +169,8 @@ def train(run_config: cfgmod.RunConfig, dataset: Dataset, out_dir=None,
     seed = run_config.seed if seed is None else seed
     if epochs < 0:
         raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir if out_dir is not None else run_config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

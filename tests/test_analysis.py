@@ -151,6 +151,11 @@ class TestRandomBaseline:
         assert abs(mean - 1.0) < 1e-9
         assert std < 1e-9
 
+    @pytest.mark.parametrize("baseline", [random_baseline, random_baseline_fitted])
+    def test_negative_seed_rejected(self, baseline):
+        with pytest.raises(InputDataError, match="^seed must be >= 0, got -1$"):
+            baseline(dim=4, vectors=2, trials=2, seed=-1)
+
     def test_fitted_null_differs_from_reference_recipe(self):
         pub, _ = random_baseline(dim=32, vectors=5, trials=400, seed=0)
         fit, _ = random_baseline_fitted(dim=32, vectors=5, trials=400, seed=0)
@@ -212,6 +217,10 @@ class TestAlignmentExperiment:
     def test_sample_count_below_one_rejected(self, untrained_model, digits_test, count):
         with pytest.raises(InputDataError, match=f"sample_count must be >= 1, got {count}"):
             alignment_experiment(untrained_model, digits_test, count, seed=0)
+
+    def test_negative_seed_rejected(self, untrained_model, digits_test):
+        with pytest.raises(InputDataError, match="^seed must be >= 0, got -1$"):
+            alignment_experiment(untrained_model, digits_test, 1, seed=-1)
 
     def test_overall_mean_of_no_records_is_nan(self):
         assert np.isnan(AlignmentReport(families=("Rot+",)).overall_mean())

@@ -35,6 +35,10 @@ class TestBuild:
         assert result.capsules.shape == (2, 32, 10)
         assert result.reconstruction.shape == (2, 784)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            ArCapsNet(MNIST_CONFIG, seed=-1)
+
     def test_equal_seeds_build_identical_parameters(self):
         a = ArCapsNet(MNIST_CONFIG, seed=7)
         b = ArCapsNet(MNIST_CONFIG, seed=7)

@@ -53,6 +53,19 @@ class TestRmsprop:
         assert np.all(state.acc["p"] >= 0)
         assert state.step_count == 50
 
+    def test_step_updates_parameter_and_accumulator_in_place(self, rng):
+        store, p = make_store(rng.standard_normal(8))
+        state = RmspropState(store)
+        data, acc = p.data, state.acc["p"]
+        p.accumulate_grad(rng.standard_normal(8).astype(np.float32))
+        before, grad = data.copy(), p.grad.copy()
+        rmsprop_step(store, state)
+        assert p.data is data and state.acc["p"] is acc
+        # the same bits as the expression in its operation order
+        assert np.array_equal(acc, (1.0 - 0.9) * (grad * grad))
+        assert np.array_equal(data, before - 0.001 * grad / (np.sqrt(acc) + 1e-7))
+        assert np.array_equal(p.grad, grad)
+
     def test_only_trainable_parameters_updated(self):
         store = ParameterStore()
         p = store.add("p", np.ones(2, dtype=np.float32))
@@ -92,3 +105,14 @@ class TestParameterStore:
         store.load_state({"a": wide})
         assert store["a"].dtype == np.float32
         assert np.array_equal(store["a"].data, wide)
+
+    def test_load_state_copies_a_read_only_array_for_the_in_place_step(self):
+        store = ParameterStore()
+        p = store.add("a", np.zeros(2, dtype=np.float32))
+        src = np.ones(2, dtype=np.float32)
+        src.flags.writeable = False
+        store.load_state({"a": src})
+        assert p.data.flags.writeable and not np.shares_memory(p.data, src)
+        p.accumulate_grad(np.ones(2, dtype=np.float32))
+        rmsprop_step(store, RmspropState(store))
+        assert np.all(p.data < 1) and np.array_equal(src, np.ones(2))

@@ -1,6 +1,8 @@
 """Forward semantics of the autodiff primitives against oracles and trivia."""
 
 import contextlib
+import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -17,9 +19,11 @@ import pytest
 
 from arcaps import reference, tensor as T
 from arcaps.analysis import alignment_experiment
+from arcaps.config import RunConfig
 from arcaps.data import Dataset
 from arcaps.errors import ComputationError, ConfigurationError
 from arcaps.model import ArCapsNet
+from arcaps.optim import RmspropState, rmsprop_step
 from arcaps.selftest import (batchnorm, oracle_banks, routing_weights, stem_composition,
                              stem_oracle_gap, stem_probe)
 from conftest import blocks_of_two, routing_logits, saved_arrays
@@ -1001,3 +1005,139 @@ print(T._WORKERS, threading.active_count() - before, "concurrent.futures" in sys
                              text=True, timeout=120, check=True).stdout.split()
         workers, started, imported = out
         assert int(workers) >= 1 and int(started) == 0 and imported == "False", out
+
+
+# a whole-extent "valid" window (one position per image) and padded 3x3
+# "same" windows (nine) over 3x3 capsules of M = 3 channels, so two
+# workers take uneven channel groups
+SPLIT_GEOMETRIES = [((3, 3), 1, "valid"), ((3, 3), 1, "same")]
+
+
+def _split_case(rng, dtype, e=12):
+    """Two images of 3x3 capsules (D = 4, M = 3), a (3, 36, 3 * E) weight to
+    N = 3 channels of E and its reference: one block whose weight outweighs
+    its operand and product rows."""
+    return [rng.standard_normal((2, 3, 3, 4, 3)).astype(dtype),
+            (rng.standard_normal((3, 36, 3 * e)) * 0.2).astype(dtype),
+            rng.standard_normal((3, e, 3)).astype(dtype)]
+
+
+def _split_run(geometry, arrays, frozen=(), graph=True):
+    """transform_route's output and the gradients of a weighted sum of it
+    for each leaf not in ``frozen`` (by index), or under no_grad."""
+    leaves = [T.leaf(a, needs_grad=graph and i not in frozen) for i, a in enumerate(arrays)]
+    with contextlib.ExitStack() as stack:
+        if not graph:
+            stack.enter_context(T.no_grad())
+        out = T.transform_route(*leaves, *geometry)
+    if out.needs_grad:
+        marker = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+        T.backward(T.sum_all(T.affine(out, marker)))
+    return [out.data] + [t.grad for t in leaves if t.needs_grad]
+
+
+@pytest.fixture
+def split_budget(monkeypatch):
+    """A block budget below the split case's weight, so its walk is one
+    block that grew to the weight, and two workers."""
+    monkeypatch.setattr(T, "BLOCK_BYTES", 1024)
+    monkeypatch.setattr(T, "_WORKERS", 2)
+
+
+class TestChannelSplit:
+    """A walk of one block that grew to a weight over the block budget runs
+    its patch copy, GEMMs and scatter in one channel group per worker."""
+
+    @pytest.mark.parametrize("geometry", SPLIT_GEOMETRIES, ids=["valid", "same"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_split_equals_one_group_bitwise(self, rng, monkeypatch, split_budget, geometry,
+                                            dtype):
+        arrays = _split_case(rng, dtype)
+        gemm = T._WindowGemm(T.leaf(arrays[0]), T.leaf(arrays[1]), None, *geometry)
+        assert gemm.blocks == [(0, 2)] and gemm.groups == [(0, 1), (1, 3)]
+        # with a graph for every subset of frozen leaves, and under no_grad
+        modes = [(frozen, True)
+                 for r in range(4) for frozen in itertools.combinations(range(3), r)]
+        for frozen, graph in modes + [((), False)]:
+            runs = []
+            for workers in (2, 1):
+                monkeypatch.setattr(T, "_WORKERS", workers)
+                runs.append(_split_run(geometry, arrays, frozen, graph))
+            assert len(runs[0]) == len(runs[1]) == 1 + (graph and 3 - len(frozen))
+            for split, inline in zip(*runs):
+                assert split.dtype == inline.dtype == dtype, (frozen, graph)
+                assert split.tobytes() == inline.tobytes(), (frozen, graph)
+
+    def test_channel_groups_run_on_two_worker_threads(self, rng, monkeypatch, split_budget):
+        groups = []
+        by_channel = T._WindowGemm.by_channel
+
+        def recording(gemm, part):
+            def recorded(m0, m1):
+                groups.append((threading.get_ident(), m0, m1))
+                time.sleep(0.02)  # the other group starts on the other worker meanwhile
+                part(m0, m1)
+            by_channel(gemm, recorded)
+
+        monkeypatch.setattr(T._WindowGemm, "by_channel", recording)
+        _split_run(SPLIT_GEOMETRIES[1], _split_case(rng, np.float64))
+        # forward: the operand and the product; backward: the operand, the
+        # rebuilt product and the gradients
+        assert sorted((m0, m1) for _, m0, m1 in groups) == [(0, 1)] * 5 + [(1, 3)] * 5
+        threads = {thread for thread, _, _ in groups}
+        assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_routing_error_of_a_split_layer_keeps_its_message(self, rng, split_budget):
+        caps, weight, ref = _split_case(rng, np.float64)
+        caps[1, 1, 1, 0, 2] = np.nan  # in the second channel group
+        with pytest.raises(ComputationError, match="^transform_route\\(\\) produced non-finite "
+                           "routing logits$"), np.errstate(invalid="ignore"):
+            _split_run(SPLIT_GEOMETRIES[1], [caps, weight, ref])
+
+    @pytest.mark.parametrize("geometry", SPLIT_GEOMETRIES, ids=["valid", "same"])
+    def test_split_backward_peak_is_no_larger(self, rng, monkeypatch, split_budget, geometry):
+        # a worker that kept a weight gradient of its own would add the
+        # weight's 311 KB to the peak; the walks' own bookkeeping (Python
+        # objects) adds about 7 KB
+        arrays = _split_case(rng, np.float64, e=120)
+        peaks = []
+        for workers in (2, 1, 2, 1):  # the first pair starts the pool
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            leaves = [T.leaf(a, needs_grad=True) for a in arrays]
+            loss = T.sum_all(T.transform_route(*leaves, *geometry))
+            tracemalloc.start()
+            try:
+                T.backward(loss)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[3] + 16 * 1024, peaks
+
+    def test_default_model_step_at_batch_3_splits_fullycaps_with_the_same_bits(self, monkeypatch):
+        config = RunConfig().model_config()
+        data = np.random.default_rng(4)
+        images = data.random((3, 28, 28, 1), dtype=np.float32)
+        labels = np.array([3, 1, 4])
+        split, digests = [], []
+        by_channel = T._WindowGemm.by_channel
+
+        def recording(gemm, part):
+            split.append(len(gemm.groups))
+            by_channel(gemm, part)
+
+        monkeypatch.setattr(T._WindowGemm, "by_channel", recording)
+        for workers in (2, 1):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            net = ArCapsNet(config, seed=0)
+            total, _, _, _ = net.loss(images, labels, train=True, rng=np.random.default_rng(5))
+            T.backward(total)
+            digest = hashlib.sha256(total.data.tobytes())
+            for _, t in net.store.trainable_items():
+                digest.update(t.grad.tobytes())
+            rmsprop_step(net.store, RmspropState(net.store))
+            for _, t in net.store.items():
+                digest.update(t.data.tobytes())
+            digests.append(digest.hexdigest())
+        # fullycaps' operand, product, rebuilt product and gradients
+        assert split.count(2) == 5
+        assert digests[0] == digests[1]

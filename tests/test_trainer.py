@@ -63,6 +63,12 @@ class TestTrainLoop:
             train(cfg, micro_dataset(64), out_dir=tmp_path / "x", epochs=-1)
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_rejected_before_out_dir_is_made(self, tmp_path):
+        cfg = micro_run_config(tmp_path)
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            train(cfg, micro_dataset(64), out_dir=tmp_path / "x", seed=-1)
+        assert not (tmp_path / "x").exists()
+
     def test_identical_seeds_give_bitwise_identical_checkpoints(self, tmp_path):
         # same command, same seed, same out-dir: rerun and compare bytes
         cfg = micro_run_config(tmp_path, epochs=2)
